@@ -53,6 +53,13 @@ def _error(message: str) -> None:
     print(f"pktsample: error: {message}", file=sys.stderr)
 
 
+def _bad_decimals(args) -> bool:
+    if args.decimals < 0:
+        _error("--decimals must be >= 0")
+        return True
+    return False
+
+
 def _load_input(args):
     dataset = load_dataset(
         args.input, format=args.input_format, label_column=args.label_column
@@ -153,6 +160,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if _bad_decimals(args):
+        return 2
     _, hist = _load_input(args)
     report = identity_report(hist, display_decimals=args.decimals)
     _write_text(args.out, render_table(report, format=args.format))
@@ -160,6 +169,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if _bad_decimals(args):
+        return 2
     try:
         spec = _spec_from_flags(args)
     except ValueError as exc:
@@ -178,6 +189,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if _bad_decimals(args):
+        return 2
     try:
         runs_text = Path(args.runs).read_text(encoding="utf-8")
         specs = parse_run_matrix(runs_text, default_seed=args.seed)
@@ -208,6 +221,9 @@ def cmd_oracle(args) -> int:
         return 2
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         _error("--n values must be strictly increasing")
+        return 2
+    if args.trials < 1:
+        _error("--trials must be >= 1")
         return 2
     dataset, hist = _load_input(args)
     if not args.with_replacement and max(n_values) > dataset.population:

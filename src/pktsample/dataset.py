@@ -1,11 +1,12 @@
 """Labeled packet-record datasets: ingestion, histograms, synthesis.
 
-A dataset is an ordered sequence of protocol-labeled records.  Labels
-are opaque strings compared exactly (case-sensitively) after whitespace
-trimming; everything else a row carries is kept as passthrough
-attributes.  The reference ingestion schema is a Wireshark-style CSV
-export (``No., Time, Source, Destination, Protocol, Length, Info``)
-with the label in the ``Protocol`` column.
+A dataset is an ordered sequence of protocol-labeled records, stored
+as a label column plus passthrough attributes.  Labels are opaque
+strings compared exactly (case-sensitively) after whitespace trimming;
+everything else a row carries is kept as passthrough attributes.  The
+reference ingestion schema is a Wireshark-style CSV export (``No.,
+Time, Source, Destination, Protocol, Length, Info``) with the label in
+the ``Protocol`` column.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import IO
@@ -24,6 +28,7 @@ from pktsample.errors import (
     EmptyDataset,
     EmptyLabel,
     HistogramSpecError,
+    InvalidUtf8,
     MalformedRow,
     MissingLabelColumn,
     ZeroTotal,
@@ -45,14 +50,51 @@ class PacketRecord:
     attributes: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+class _Columns:
+    """Passthrough attributes as one sequence of strings per column."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns: Sequence[Sequence[str]]):
+        self.keys = keys
+        self.columns = columns
+
+    def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(self.keys, [column[index] for column in self.columns]))
+
+
+class _JsonLines:
+    """Passthrough attributes as raw NDJSON line text, parsed on access."""
+
+    __slots__ = ("lines", "label_column")
+
+    def __init__(self, lines: Sequence[str], label_column: str):
+        self.lines = lines
+        self.label_column = label_column
+
+    def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
+        obj = json.loads(self.lines[index])
+        return tuple(
+            (key, _stringify(value))
+            for key, value in obj.items()
+            if key != self.label_column
+        )
+
+
 class TraceDataset:
-    """Ordered, immutable sequence of records; the population being sampled."""
+    """Ordered, immutable sequence of records; the population being sampled.
 
-    records: tuple[PacketRecord, ...]
+    The dataset is stored as columns, not as one object per record:
+    ``labels[k - 1]`` is the label of record k (one shared ``str`` per
+    distinct label), and the passthrough attributes stay in the form
+    ingestion found them in (one tuple of strings per CSV column, the raw
+    NDJSON line text).  ``records`` is a lazy library view that builds
+    ``PacketRecord`` objects on first access.
+    """
 
-    def __post_init__(self):
-        for i, record in enumerate(self.records, start=1):
+    def __init__(self, records: Iterable[PacketRecord]):
+        records = tuple(records)
+        for i, record in enumerate(records, start=1):
             if record.position != i:
                 raise ValueError(
                     f"record positions must be contiguous 1..P; "
@@ -60,16 +102,70 @@ class TraceDataset:
                 )
             if not record.label:
                 raise ValueError(f"record at position {i} has an empty label")
+        self.labels = tuple(record.label for record in records)
+        self._attributes = tuple(record.attributes for record in records)
+        self.__dict__["records"] = records  # the cached view is these records
+
+    @classmethod
+    def _from_columns(
+        cls, labels: Iterable[str], attributes: _Columns | _JsonLines
+    ) -> "TraceDataset":
+        """A dataset over already validated columns (no per-record objects)."""
+        dataset = cls.__new__(cls)
+        dataset.labels = tuple(labels)
+        dataset._attributes = attributes
+        return dataset
+
+    @cached_property
+    def records(self) -> tuple[PacketRecord, ...]:
+        """One ``PacketRecord`` per record, built on first access."""
+        attributes = self._attributes
+        return tuple(
+            PacketRecord(position=i, label=label, attributes=attributes[i - 1])
+            for i, label in enumerate(self.labels, start=1)
+        )
+
+    @cached_property
+    def _histogram(self) -> "ClassHistogram":
+        return ClassHistogram.from_counts(Counter(self.labels).items())
+
+    @cached_property
+    def strata(self) -> tuple[tuple[str, array], ...]:
+        """Each label with the ascending 1-based positions of its records,
+        labels in first-appearance order."""
+        strata = {label: array("q") for label in dict.fromkeys(self.labels)}
+        appends = {label: positions.append for label, positions in strata.items()}
+        for position, label in enumerate(self.labels, start=1):
+            appends[label](position)
+        return tuple(strata.items())
+
+    def attribute_columns(self) -> tuple[tuple[str, ...], Sequence[Sequence[str]]]:
+        """The attribute keys and one value column per key.
+
+        Raises ``ValueError`` when records carry differing key layouts.
+        """
+        if isinstance(self._attributes, _Columns):
+            return self._attributes.keys, self._attributes.columns
+        rows = [self._attributes[i] for i in range(self.population)]
+        keys = tuple(key for key, _ in rows[0]) if rows else ()
+        if any(tuple(key for key, _ in row) != keys for row in rows):
+            raise ValueError("records carry differing attribute layouts")
+        return keys, [[row[j][1] for row in rows] for j in range(len(keys))]
 
     @property
     def population(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.records)
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceDataset):
+            return NotImplemented
+        return self.labels == other.labels and self.records == other.records
 
 
 @dataclass(frozen=True)
@@ -112,13 +208,13 @@ class ClassHistogram:
 
 
 def histogram(dataset: TraceDataset) -> ClassHistogram:
-    """Count records per label, ordered by first appearance."""
+    """Count records per label, ordered by first appearance.
+
+    Computed once per dataset; later calls return the same histogram.
+    """
     if dataset.population == 0:
         raise EmptyDataset("cannot build a histogram of an empty dataset")
-    counts: dict[str, int] = {}
-    for record in dataset.records:
-        counts[record.label] = counts.get(record.label, 0) + 1
-    return ClassHistogram.from_counts(counts.items())
+    return dataset._histogram
 
 
 def _stringify(value: object) -> str:
@@ -127,73 +223,95 @@ def _stringify(value: object) -> str:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
+def _undecodable(exc: UnicodeDecodeError, lines_read: int) -> InvalidUtf8:
+    """The error naming the line that holds the first non-UTF-8 byte.
+
+    The text layer decodes a chunk only once it has handed out every
+    complete line before it, so that line is ``lines_read`` plus the
+    line breaks that precede the bad byte in the chunk.
+    """
+    line = lines_read + exc.object.count(b"\n", 0, exc.start) + 1
+    return InvalidUtf8(f"line {line}: input is not valid UTF-8")
+
+
 def _parse_csv(text: IO[str], label_column: str) -> TraceDataset:
     reader = csv.reader(text)
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyDataset("input has no header row") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc, reader.line_num) from None
     if label_column not in header:
         raise MissingLabelColumn(
             f"header {header!r} lacks label column {label_column!r}"
         )
     label_index = header.index(label_column)
-    records = []
+    width = len(header)
+    keys = tuple(key for i, key in enumerate(header) if i != label_index)
+    columns: list = [[] for _ in keys]
+    labels: list[str] = []
+    shared: dict[str, str] = {}
     row_number = 0
-    for row in reader:
-        if not row:
-            continue
-        row_number += 1
-        if len(row) != len(header):
-            raise MalformedRow(
-                f"row {row_number} (line {reader.line_num}): expected "
-                f"{len(header)} columns, got {len(row)}"
-            )
-        label = row[label_index].strip()
-        if not label:
-            raise EmptyLabel(
-                f"row {row_number} (line {reader.line_num}): blank label"
-            )
-        attributes = tuple(
-            (header[i], row[i]) for i in range(len(header)) if i != label_index
-        )
-        records.append(
-            PacketRecord(position=len(records) + 1, label=label, attributes=attributes)
-        )
-    if not records:
+    try:
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            if len(row) != width:
+                raise MalformedRow(
+                    f"row {row_number} (line {reader.line_num}): expected "
+                    f"{width} columns, got {len(row)}"
+                )
+            label = row.pop(label_index).strip()
+            if not label:
+                raise EmptyLabel(
+                    f"row {row_number} (line {reader.line_num}): blank label"
+                )
+            labels.append(shared.setdefault(label, label))
+            for column, value in zip(columns, row):
+                column.append(value)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc, reader.line_num) from None
+    if not labels:
         raise EmptyDataset("input has no data rows")
-    return TraceDataset(records=tuple(records))
+    # The cyclic GC stops scanning a tuple of strings, never a list.
+    for i, column in enumerate(columns):
+        columns[i] = tuple(column)
+    return TraceDataset._from_columns(labels, _Columns(keys, tuple(columns)))
 
 
 def _parse_ndjson(text: IO[str], label_column: str) -> TraceDataset:
-    records = []
-    for line_num, line in enumerate(text, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(f"line {line_num}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise MalformedRow(f"line {line_num}: expected a JSON object")
-        if label_column not in obj:
-            raise MissingLabelColumn(
-                f"line {line_num}: object lacks label column {label_column!r}"
-            )
-        label = _stringify(obj[label_column]).strip()
-        if not label:
-            raise EmptyLabel(f"line {line_num}: blank label")
-        attributes = tuple(
-            (key, _stringify(value))
-            for key, value in obj.items()
-            if key != label_column
-        )
-        records.append(
-            PacketRecord(position=len(records) + 1, label=label, attributes=attributes)
-        )
-    if not records:
+    labels: list[str] = []
+    lines: list[str] = []
+    shared: dict[str, str] = {}
+    line_num = 0
+    try:
+        for line_num, line in enumerate(text, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRow(
+                    f"line {line_num}: invalid JSON ({exc.msg})"
+                ) from None
+            if not isinstance(obj, dict):
+                raise MalformedRow(f"line {line_num}: expected a JSON object")
+            if label_column not in obj:
+                raise MissingLabelColumn(
+                    f"line {line_num}: object lacks label column {label_column!r}"
+                )
+            label = _stringify(obj[label_column]).strip()
+            if not label:
+                raise EmptyLabel(f"line {line_num}: blank label")
+            labels.append(shared.setdefault(label, label))
+            lines.append(line)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc, line_num) from None
+    if not labels:
         raise EmptyDataset("input has no data rows")
-    return TraceDataset(records=tuple(records))
+    return TraceDataset._from_columns(labels, _JsonLines(tuple(lines), label_column))
 
 
 def parse_records(
@@ -205,12 +323,14 @@ def parse_records(
 
     ``format`` is ``csv`` (header row required) or ``ndjson`` (one object
     per line).  Row order is preserved: record k corresponds to data row k.
+    A leading byte-order mark is skipped; bytes that are not UTF-8 raise
+    ``InvalidUtf8`` naming the line.
     """
     text: IO[str]
     if isinstance(stream, io.TextIOBase):
         text = stream
     else:
-        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     if format == "csv":
         return _parse_csv(text, label_column)
     if format == "ndjson":
@@ -252,11 +372,7 @@ def synthesize(
     if arrangement == "shuffled":
         order = kernels.permutation(len(labels), seed)
         labels = [labels[i] for i in order]
-    records = tuple(
-        PacketRecord(position=i, label=label)
-        for i, label in enumerate(labels, start=1)
-    )
-    return TraceDataset(records=records)
+    return TraceDataset._from_columns(labels, _Columns((), ()))
 
 
 def parse_histogram_spec(text: str) -> ClassHistogram:

@@ -23,6 +23,10 @@ class MalformedRow(PktSampleError):
     """A row cannot be parsed (column-count mismatch or bad JSON line)."""
 
 
+class InvalidUtf8(MalformedRow):
+    """Input bytes are not valid UTF-8."""
+
+
 class EmptyDataset(PktSampleError):
     """An operation requires at least one record."""
 

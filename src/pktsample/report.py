@@ -157,6 +157,11 @@ def _run_line(spec: SampleSpec | None) -> str:
     return spec.describe() if spec is not None else "identity (full dataset)"
 
 
+def _md_cell(text: str) -> str:
+    """Text for a markdown table cell: a ``|`` would start a new cell."""
+    return text.replace("|", "\\|")
+
+
 def _report_markdown(report: ImbalanceReport, decimals: int) -> str:
     prob_decimals = decimals + 2
     missing = ", ".join(report.missing_classes) if report.missing_classes else "none"
@@ -174,7 +179,7 @@ def _report_markdown(report: ImbalanceReport, decimals: int) -> str:
     ]
     for row in report.per_class:
         lines.append(
-            f"| {row.label} | {row.source_count} | {row.sampled_count} "
+            f"| {_md_cell(row.label)} | {row.source_count} | {row.sampled_count} "
             f"| {format_decimal(row.sampled_percent, decimals)} "
             f"| {format_decimal(row.selection_probability, prob_decimals)} |"
         )
@@ -252,7 +257,7 @@ def _matrix_markdown(matrix: ComparisonMatrix, decimals: int) -> str:
         cells = " | ".join(
             format_decimal(c.percents[r], decimals) for c in matrix.columns
         )
-        lines.append(f"| {label} | {cells} |")
+        lines.append(f"| {_md_cell(label)} | {cells} |")
     lines.append(
         "| missing classes | "
         + " | ".join(str(c.missing_count) for c in matrix.columns)
@@ -374,22 +379,19 @@ def dataset_to_csv(dataset: TraceDataset) -> str:
 
     All records must share one attribute-key layout.  An original "No."
     attribute (from a parsed capture export) is kept verbatim; otherwise
-    the record position is written.
+    the record position is written.  Where a key repeats, its last
+    column is written.
     """
-    attr_keys: tuple[str, ...] = ()
-    if dataset.records:
-        attr_keys = tuple(key for key, _ in dataset.records[0].attributes)
-        for record in dataset.records:
-            if tuple(key for key, _ in record.attributes) != attr_keys:
-                raise ValueError("records carry differing attribute layouts")
-    extra = [key for key in attr_keys if key not in ("No.", "Protocol")]
+    keys, columns = dataset.attribute_columns()
+    column_of = dict(zip(keys, columns))
+    extra = [key for key in keys if key not in ("No.", "Protocol")]
+    numbers = column_of.get("No.", range(1, dataset.population + 1))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["No.", "Protocol"] + extra)
-    for record in dataset.records:
-        attrs = dict(record.attributes)
-        number = attrs.get("No.", record.position)
-        writer.writerow([number, record.label] + [attrs[key] for key in extra])
+    writer.writerows(
+        zip(numbers, dataset.labels, *(column_of[key] for key in extra))
+    )
     return out.getvalue()
 
 

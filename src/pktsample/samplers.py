@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pktsample import kernels
-from pktsample.dataset import TraceDataset
+from pktsample.dataset import TraceDataset, histogram
 from pktsample.errors import EmptyDataset, TargetExceedsPopulation
 
 FAMILIES = ("random", "systematic", "bycount", "stratified", "underover")
@@ -122,20 +122,12 @@ class SampleResult:
         return counts
 
 
-def _strata(dataset: TraceDataset) -> list[tuple[str, list[int]]]:
-    """Positions per label, strata in first-appearance order."""
-    order: dict[str, list[int]] = {}
-    for record in dataset.records:
-        order.setdefault(record.label, []).append(record.position)
-    return list(order.items())
-
-
 def _result(dataset: TraceDataset, spec: SampleSpec, entries) -> SampleResult:
     return SampleResult(
         spec=spec,
         entries=tuple(entries),
         source_population=dataset.population,
-        source_class_count=len({r.label for r in dataset.records}),
+        source_class_count=histogram(dataset).class_count,
     )
 
 
@@ -158,7 +150,7 @@ def random_sample(
     """
     _require_nonempty(dataset)
     spec = SampleSpec.random(n, with_replacement=with_replacement, seed=seed)
-    records = dataset.records
+    labels = dataset.labels
     if with_replacement:
         positions = kernels.sample_with_replacement(dataset.population, n, seed)
     else:
@@ -166,7 +158,7 @@ def random_sample(
             dataset.population, min(n, dataset.population), seed
         )
     entries = (
-        SampledRecord(source_position=p, label=records[p - 1].label)
+        SampledRecord(source_position=p, label=labels[p - 1])
         for p in positions
     )
     return _result(dataset, spec, entries)
@@ -176,9 +168,9 @@ def systematic_sample(dataset: TraceDataset, interval: int) -> SampleResult:
     """Every ``interval``-th record starting from position 1."""
     _require_nonempty(dataset)
     spec = SampleSpec.systematic(interval)
-    records = dataset.records
+    labels = dataset.labels
     entries = (
-        SampledRecord(source_position=p, label=records[p - 1].label)
+        SampledRecord(source_position=p, label=labels[p - 1])
         for p in range(1, dataset.population + 1, interval)
     )
     return _result(dataset, spec, entries)
@@ -197,10 +189,10 @@ def systematic_by_count(dataset: TraceDataset, n: int) -> SampleResult:
             f"target {n} exceeds population {dataset.population}"
         )
     interval = dataset.population // n
-    records = dataset.records
+    labels = dataset.labels
     positions = range(1, dataset.population + 1, interval)
     entries = (
-        SampledRecord(source_position=p, label=records[p - 1].label)
+        SampledRecord(source_position=p, label=labels[p - 1])
         for _, p in zip(range(n), positions)
     )
     return _result(dataset, spec, entries)
@@ -217,7 +209,7 @@ def stratified_sample(dataset: TraceDataset, interval: int) -> SampleResult:
     _require_nonempty(dataset)
     spec = SampleSpec.stratified(interval)
     entries = []
-    for label, positions in _strata(dataset):
+    for label, positions in dataset.strata:
         entries.extend(
             SampledRecord(source_position=p, label=label)
             for p in positions[::interval]
@@ -238,7 +230,7 @@ def under_over_sample(dataset: TraceDataset, k: int, seed: int = 0) -> SampleRes
     _require_nonempty(dataset)
     spec = SampleSpec.under_over(k, seed=seed)
     entries = []
-    for index, (label, positions) in enumerate(_strata(dataset)):
+    for index, (label, positions) in enumerate(dataset.strata):
         sub_seed = kernels.derive_seed(seed, index)
         size = len(positions)
         if size > k:

@@ -133,6 +133,75 @@ def test_analyze_bad_data_exits_1(tmp_path, capsys):
     assert "blank label" in capsys.readouterr().err
 
 
+def test_analyze_invalid_utf8_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"Protocol\nTCP\nA\xe9\n")
+    assert main(["analyze", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pktsample: error: line 3: input is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--decimals", "-1"],
+        ["sample", "--family", "systematic", "--interval", "2", "--decimals", "-1"],
+        ["compare", "--runs", "RUNS", "--decimals", "-1"],
+        ["oracle", "--n", "5", "--trials", "0"],
+        ["oracle", "--n", "5", "--trials", "-3"],
+    ],
+)
+def test_out_of_range_flags_exit_2(argv, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\nTCP\nUDP\n", encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text("systematic interval=2\n", encoding="utf-8")
+    argv = [str(runs) if arg == "RUNS" else arg for arg in argv]
+    assert main(argv[:1] + ["--input", str(data)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pktsample: error: ")
+    assert captured.err.count("\n") == 1
+
+
+SMALL_INPUTS = {
+    "small.csv": 'No.,Protocol,Info\n1,TCP,"a, b"\n2,ARP,x\n3,TCP,y\n4,UDP,z\n',
+    "small.ndjson": (
+        '{"No.": 1, "Protocol": "TCP"}\n{"No.": 2, "Protocol": "ARP"}\n'
+        '{"No.": 3, "Protocol": "TCP"}\n{"No.": 4, "Protocol": "UDP", "x": [1]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
+    """CLI commands work on the label column alone: constructing a
+    PacketRecord anywhere on their path fails the command."""
+    import pktsample.dataset
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a CLI path built a PacketRecord")
+
+    monkeypatch.setattr(pktsample.dataset, "PacketRecord", no_records)
+    data = tmp_path / name
+    data.write_text(SMALL_INPUTS[name], encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text(
+        "random n=2\nrandom n=9 with_replacement=true\nsystematic interval=2\n"
+        "bycount n=3\nstratified interval=2\nunderover k=2\n",
+        encoding="utf-8",
+    )
+    common = ["--input", str(data), "--out", str(tmp_path / "out")]
+    assert main(["analyze", *common]) == 0
+    for flags in (["random", "--n", "2"], ["systematic", "--interval", "2"],
+                  ["bycount", "--n", "3"], ["stratified", "--interval", "2"],
+                  ["underover", "--k", "2"]):
+        assert main(["sample", *common, "--family", *flags]) == 0
+    assert main(["compare", *common, "--runs", str(runs)]) == 0
+    assert main(["oracle", *common, "--n", "1,3", "--trials", "2"]) == 0
+
+
 # --- sample ------------------------------------------------------------------
 
 def test_sample_stratified_row_count(pu_csv, tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from pktsample.errors import (
     EmptyDataset,
     EmptyLabel,
     HistogramSpecError,
+    InvalidUtf8,
     MalformedRow,
     MissingLabelColumn,
     ZeroTotal,
@@ -117,6 +120,84 @@ def test_parse_ndjson_errors():
         parse_records(io.BytesIO(b'{"p": "  "}\n'), format="ndjson", label_column="p")
     with pytest.raises(EmptyDataset):
         parse_records(io.BytesIO(b"\n\n"), format="ndjson", label_column="p")
+
+
+def _eager_records(text: str, format: str, label_column: str):
+    """Reference parser: one PacketRecord with its attributes per row."""
+    records = []
+    if format == "csv":
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader)
+        index = header.index(label_column)
+        for row in filter(None, reader):
+            attributes = tuple((header[i], row[i]) for i in range(len(row)) if i != index)
+            records.append((row[index].strip(), attributes))
+    else:
+        for line in filter(str.strip, io.StringIO(text, newline="")):
+            obj = json.loads(line)
+            label = obj[label_column]
+            label = label if isinstance(label, str) else json.dumps(label)
+            attributes = tuple(
+                (key, value if isinstance(value, str) else
+                 json.dumps(value, separators=(",", ":"), ensure_ascii=False))
+                for key, value in obj.items()
+                if key != label_column
+            )
+            records.append((label.strip(), attributes))
+    return tuple(
+        PacketRecord(position=i, label=label, attributes=attributes)
+        for i, (label, attributes) in enumerate(records, start=1)
+    )
+
+
+@pytest.mark.parametrize(
+    "text,format,label_column",
+    [
+        (WIRESHARK_CSV, "csv", "Protocol"),
+        ('a,proto,a\r\n1," UDP ","x\ny"\r\n\r\n2,DNS,\r\n', "csv", "proto"),
+        ('{"p": 1, "v": {"k": [1, "é"]}, "w": null}\n\n{"w": "s", "p": "ARP "}\n',
+         "ndjson", "p"),
+    ],
+)
+def test_lazy_records_match_eager_parse(text, format, label_column):
+    """The columnar dataset's lazy ``records`` view equals what building one
+    record object per row at parse time gives."""
+    dataset = parse_records(
+        io.BytesIO(text.encode()), format=format, label_column=label_column
+    )
+    expected = _eager_records(text, format, label_column)
+    assert dataset.records == expected
+    assert dataset.labels == tuple(record.label for record in expected)
+    assert dataset == TraceDataset(records=expected)
+
+
+@pytest.mark.parametrize(
+    "data,format",
+    [
+        (b"\xef\xbb\xbfProtocol,No.\nTCP,1\nARP,2\n", "csv"),
+        (b'\xef\xbb\xbf{"Protocol": "TCP", "No.": 1}\n{"Protocol": "ARP", "No.": 2}\n',
+         "ndjson"),
+    ],
+)
+def test_parse_skips_byte_order_mark(data, format):
+    dataset = parse_records(io.BytesIO(data), format=format)
+    assert dataset.labels == ("TCP", "ARP")
+    assert dataset.records[1].attributes == (("No.", "2"),)
+
+
+@pytest.mark.parametrize("format", ["csv", "ndjson"])
+@pytest.mark.parametrize("bad_line", [1, 2, 7000])
+def test_parse_invalid_utf8_names_line(format, bad_line):
+    """The reported line is exact even when the bad byte lies many
+    decoding chunks into the input."""
+    if format == "csv":
+        lines = [b"Protocol,Info"] + [b"TCP,%d" % i for i in range(1, 9000)]
+    else:
+        lines = [b'{"Protocol": "TCP", "Info": %d}' % i for i in range(1, 9000)]
+    lines[bad_line - 1] = lines[bad_line - 1][:-1] + b"\xff"
+    data = b"\n".join(lines) + b"\n"
+    with pytest.raises(InvalidUtf8, match=f"^line {bad_line}: input is not valid UTF-8$"):
+        parse_records(io.BytesIO(data), format=format)
 
 
 def test_parse_unknown_format():

@@ -296,6 +296,20 @@ def test_underover_sample_csv_golden():
     assert rendered.count("true") == (4 - 3) + (4 - 2) + (4 - 1)
 
 
+def test_markdown_escapes_pipes_in_labels():
+    hist = ClassHistogram.from_counts([("A|B", 3), ("C", 1)])
+    dataset = synthesize(hist, seed=0, arrangement="grouped")
+    report = class_report(hist, stratified_sample(dataset, 2))
+    matrix = ComparisonMatrix.from_reports([report, identity_report(hist)])
+    for text in (render_table(report), render_table(matrix)):
+        rows = [line for line in text.splitlines() if line.startswith("| A")]
+        assert len(rows) == 1
+        assert rows[0].startswith("| A\\|B | ")
+        cells = rows[0].replace("\\|", "").count("|")
+        header = [line for line in text.splitlines() if line.startswith("| Protocol")]
+        assert cells == header[0].count("|")
+
+
 def test_dataset_csv_preserves_parsed_attributes(tmp_path):
     from pktsample.dataset import load_dataset
 
