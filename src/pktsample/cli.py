@@ -38,7 +38,7 @@ from pktsample.report import (
     render_sample_csv,
     render_table,
 )
-from pktsample.samplers import FAMILIES, SampleSpec, draw
+from pktsample.samplers import FAMILIES, SIZE_PARAMETERS, SampleSpec, draw
 
 
 def _write_text(path: str, text: str) -> None:
@@ -67,39 +67,23 @@ def _load_input(args):
     return dataset, histogram(dataset)
 
 
-def _spec_from_flags(args) -> SampleSpec:
-    family = args.family
-    if family == "random":
-        if args.n is None:
-            raise ValueError("--family random needs --n")
-        return SampleSpec.random(
-            args.n, with_replacement=args.with_replacement, seed=args.seed
-        )
-    if args.with_replacement:
-        raise ValueError("--with-replacement applies to --family random only")
-    if family == "systematic":
-        if args.interval is None:
-            raise ValueError("--family systematic needs --interval")
-        return SampleSpec.systematic(args.interval)
-    if family == "bycount":
-        if args.n is None:
-            raise ValueError("--family bycount needs --n")
-        return SampleSpec.by_count(args.n)
-    if family == "stratified":
-        if args.interval is None:
-            raise ValueError("--family stratified needs --interval")
-        return SampleSpec.stratified(args.interval)
-    if args.k is None:
-        raise ValueError("--family underover needs --k")
-    return SampleSpec.under_over(args.k, seed=args.seed)
+def _build_spec(family: str, seed: int, **params) -> SampleSpec:
+    """The one way ``sample`` flags and run-matrix lines become a spec.
+
+    Seeded families take ``seed``; the others have none, so theirs is 0.
+    ``SampleSpec`` rejects a parameter the family does not take.
+    """
+    return SampleSpec(
+        family=family, seed=seed if FAMILIES[family].seeded else 0, **params
+    )
 
 
 def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
     """Parse a declarative run list: one ``family key=value ...`` per line.
 
-    Keys: n, interval, k, seed (integers) and with_replacement
-    (true/false).  ``#`` starts a comment.  Runs without an explicit
-    seed inherit ``default_seed``.
+    Keys: the family's size key (n, interval or k) and seed, integers,
+    and with_replacement (true/false).  ``#`` starts a comment.  Runs of
+    a seeded family without an explicit seed inherit ``default_seed``.
     """
     specs = []
     for line_num, raw in enumerate(text.splitlines(), start=1):
@@ -111,15 +95,13 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
         if family not in FAMILIES:
             raise ValueError(f"runs line {line_num}: unknown family {family!r}")
         values: dict[str, object] = {}
-        if family in ("random", "underover"):
-            values["seed"] = default_seed
         for token in tokens[1:]:
             key, sep, value = token.partition("=")
             if not sep:
                 raise ValueError(
                     f"runs line {line_num}: expected key=value, got {token!r}"
                 )
-            if key in ("n", "interval", "k", "seed"):
+            if key in SIZE_PARAMETERS or key == "seed":
                 try:
                     values[key] = int(value)
                 except ValueError:
@@ -134,8 +116,9 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
                 values[key] = value == "true"
             else:
                 raise ValueError(f"runs line {line_num}: unknown key {key!r}")
+        seed = values.pop("seed", default_seed)
         try:
-            specs.append(SampleSpec(family=family, **values))  # type: ignore[arg-type]
+            specs.append(_build_spec(family, seed, **values))  # type: ignore[arg-type]
         except ValueError as exc:
             raise ValueError(f"runs line {line_num}: {exc}") from None
     if not specs:
@@ -172,7 +155,10 @@ def cmd_sample(args) -> int:
     if _bad_decimals(args):
         return 2
     try:
-        spec = _spec_from_flags(args)
+        spec = _build_spec(
+            args.family, args.seed, n=args.n, interval=args.interval, k=args.k,
+            with_replacement=args.with_replacement,
+        )
     except ValueError as exc:
         _error(str(exc))
         return 2

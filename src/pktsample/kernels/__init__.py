@@ -30,11 +30,6 @@ else:
 
 BACKEND = "pure" if _impl is _pure_module else "native"
 
-MASK64 = _pure_module.MASK64
-GAMMA = _pure_module.GAMMA
-
-Rng = _impl.Rng
-mix64 = _impl.mix64
 derive_seed = _impl.derive_seed
 permutation = _impl.permutation
 sample_without_replacement = _impl.sample_without_replacement

@@ -22,6 +22,8 @@ vectors for pinned seeds are committed under ``tests/golden/``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -111,14 +113,14 @@ def _class_lookup(counts: list[int]) -> list[int]:
     return lookup
 
 
-def missing_class_trials(
+def class_count_trials(
     counts: list[int],
     draw: int,
     trials: int,
     seed: int,
     with_replacement: bool = False,
-) -> list[int]:
-    """Per-trial missing-class counts for repeated uniform sampling.
+) -> Iterator[list[int]]:
+    """Yield each trial's per-class sampled counts for uniform sampling.
 
     The population is the concatenation of class blocks sized by
     ``counts``; trial ``t`` runs on the substream ``derive_seed(seed, t)``.
@@ -126,21 +128,14 @@ def missing_class_trials(
     record ordering for uniform draws.
     """
     population = sum(counts)
-    n_classes = len(counts)
     lookup = _class_lookup(counts)
     draw = min(draw, population) if not with_replacement else draw
-    seen = [-1] * n_classes
-    results = []
     for trial in range(trials):
-        rng = Rng(derive_seed(seed, trial))
-        randbelow = rng.randbelow
-        found = 0
+        randbelow = Rng(derive_seed(seed, trial)).randbelow
+        row = [0] * len(counts)
         if with_replacement:
             for _ in range(draw):
-                cls = lookup[randbelow(population)]
-                if seen[cls] != trial:
-                    seen[cls] = trial
-                    found += 1
+                row[lookup[randbelow(population)]] += 1
         else:
             swaps: dict[int, int] = {}
             get = swaps.get
@@ -148,12 +143,20 @@ def missing_class_trials(
                 j = i + randbelow(population - i)
                 taken = get(j, j)
                 swaps[j] = get(i, i)
-                cls = lookup[taken]
-                if seen[cls] != trial:
-                    seen[cls] = trial
-                    found += 1
-        results.append(n_classes - found)
-    return results
+                row[lookup[taken]] += 1
+        yield row
+
+
+def missing_class_trials(
+    counts: list[int],
+    draw: int,
+    trials: int,
+    seed: int,
+    with_replacement: bool = False,
+) -> list[int]:
+    """Per-trial missing-class counts (see ``class_count_trials``)."""
+    rows = class_count_trials(counts, draw, trials, seed, with_replacement)
+    return [row.count(0) for row in rows]
 
 
 def class_total_trials(
@@ -164,22 +167,7 @@ def class_total_trials(
     with_replacement: bool = False,
 ) -> list[int]:
     """Summed per-class sampled counts over ``trials`` substream runs."""
-    population = sum(counts)
-    lookup = _class_lookup(counts)
-    draw = min(draw, population) if not with_replacement else draw
     totals = [0] * len(counts)
-    for trial in range(trials):
-        rng = Rng(derive_seed(seed, trial))
-        randbelow = rng.randbelow
-        if with_replacement:
-            for _ in range(draw):
-                totals[lookup[randbelow(population)]] += 1
-        else:
-            swaps: dict[int, int] = {}
-            get = swaps.get
-            for i in range(draw):
-                j = i + randbelow(population - i)
-                taken = get(j, j)
-                swaps[j] = get(i, i)
-                totals[lookup[taken]] += 1
+    for row in class_count_trials(counts, draw, trials, seed, with_replacement):
+        totals = [total + count for total, count in zip(totals, row)]
     return totals

@@ -19,7 +19,7 @@ from importlib import resources
 from pktsample.dataset import TraceDataset
 from pktsample.errors import EmptySeries, NonMonotonicAxis
 from pktsample.metrics import ImbalanceReport
-from pktsample.samplers import SampleResult, SampleSpec
+from pktsample.samplers import FAMILIES, SampleResult, SampleSpec
 
 SCHEMA_VERSION = "1.0"
 
@@ -82,13 +82,14 @@ class ComparisonMatrix:
         for report in reports:
             if tuple(row.label for row in report.per_class) != labels:
                 raise ValueError("all runs must share the same source classes")
+            spec, total = report.spec, report.total_sampled
             columns.append(
                 MatrixColumn(
-                    title=_column_title(report.spec, report.total_sampled),
-                    family=report.spec.family if report.spec else "identity",
-                    parameter=_parameter_string(report.spec),
-                    seed=_spec_seed(report.spec),
-                    sampled_total=report.total_sampled,
+                    title=spec.column_title(total) if spec else f"identity, n={total}",
+                    family=spec.family if spec else "identity",
+                    parameter=spec.parameter if spec else "identity",
+                    seed=spec.seed if spec and FAMILIES[spec.family].seeded else None,
+                    sampled_total=total,
                     missing_count=report.missing_count,
                     percents=tuple(row.sampled_percent for row in report.per_class),
                 )
@@ -101,54 +102,14 @@ class ComparisonMatrix:
         )
 
 
-def _parameter_string(spec: SampleSpec | None) -> str:
-    if spec is None:
-        return "identity"
-    if spec.family in ("systematic", "stratified"):
-        return f"I={spec.interval}"
-    if spec.family == "underover":
-        return f"k={spec.k}"
-    return f"n={spec.n}"
-
-
-def _spec_seed(spec: SampleSpec | None) -> int | None:
-    if spec is None or spec.family in ("systematic", "bycount", "stratified"):
-        return None
-    return spec.seed
-
-
-def _column_title(spec: SampleSpec | None, total: int) -> str:
-    if spec is None:
-        return f"identity, n={total}"
-    if spec.family == "random":
-        tag = "random wr" if spec.with_replacement else "random"
-        return f"{tag} seed={spec.seed}, n={total}"
-    if spec.family == "underover":
-        return f"underover k={spec.k} seed={spec.seed}, n={total}"
-    return f"{_run_label(spec)}, n={total}"
-
-
-def _run_label(spec: SampleSpec) -> str:
-    if spec.family == "systematic":
-        return f"systematic I={spec.interval}"
-    if spec.family == "stratified":
-        return f"stratified I={spec.interval}"
-    return "bycount"
-
-
 def _spec_json(spec: SampleSpec | None) -> dict | None:
     if spec is None:
         return None
-    body: dict[str, object] = {"family": spec.family}
-    if spec.n is not None:
-        body["n"] = spec.n
-    if spec.interval is not None:
-        body["interval"] = spec.interval
-    if spec.k is not None:
-        body["k"] = spec.k
-    if spec.family == "random":
+    entry = FAMILIES[spec.family]
+    body: dict[str, object] = {"family": spec.family, entry.size: spec.size}
+    if entry.with_replacement:
         body["with_replacement"] = spec.with_replacement
-    if spec.family in ("random", "underover"):
+    if entry.seeded:
         body["seed"] = spec.seed
     return body
 

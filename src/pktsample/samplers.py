@@ -1,6 +1,6 @@
 """Deterministic sampling families over trace datasets.
 
-Five families behind one contract:
+Five families behind one contract, one ``FAMILIES`` entry each:
 
 * ``random``: uniform simple random sampling, with or without
   replacement, seeded.
@@ -20,20 +20,22 @@ bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from pktsample import kernels
 from pktsample.dataset import TraceDataset, histogram
 from pktsample.errors import EmptyDataset, TargetExceedsPopulation
 
-FAMILIES = ("random", "systematic", "bycount", "stratified", "underover")
+SIZE_PARAMETERS = ("n", "interval", "k")
 
 
 @dataclass(frozen=True)
 class SampleSpec:
     """A sampling request: family, parameters, seed.
 
-    The seed is ignored by the two purely deterministic systematic
-    families.
+    A family takes exactly one of the size parameters ``n``, ``interval``
+    and ``k``; ``FAMILIES`` says which, whether ``seed`` is used and
+    whether ``with_replacement`` applies.
     """
 
     family: str
@@ -46,19 +48,16 @@ class SampleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        needs = {
-            "random": ("n",),
-            "systematic": ("interval",),
-            "bycount": ("n",),
-            "stratified": ("interval",),
-            "underover": ("k",),
-        }[self.family]
-        for name in needs:
-            value = getattr(self, name)
-            if value is None or value < 1:
-                raise ValueError(f"{self.family} sampling needs {name} >= 1")
-        if self.with_replacement and self.family != "random":
-            raise ValueError("with_replacement applies to random sampling only")
+        entry = FAMILIES[self.family]
+        if self.size is None or self.size < 1:
+            raise ValueError(f"{self.family} sampling needs {entry.size} >= 1")
+        for name in SIZE_PARAMETERS:
+            if name != entry.size and getattr(self, name) is not None:
+                raise ValueError(
+                    f"{self.family} sampling takes {entry.size}, not {name}"
+                )
+        if self.with_replacement and not entry.with_replacement:
+            raise ValueError(f"{self.family} sampling does not take with_replacement")
 
     @classmethod
     def random(cls, n: int, with_replacement: bool = False, seed: int = 0):
@@ -80,18 +79,29 @@ class SampleSpec:
     def under_over(cls, k: int, seed: int = 0):
         return cls(family="underover", k=k, seed=seed)
 
+    @property
+    def size(self) -> int | None:
+        """The value of the one size parameter the family takes."""
+        return getattr(self, FAMILIES[self.family].size)
+
+    @property
+    def parameter(self) -> str:
+        """The size parameter in short form, e.g. ``I=5``."""
+        return f"{FAMILIES[self.family].short}={self.size}"
+
+    def _format(self, template: str, **extra) -> str:
+        name = f"{self.family} wr" if self.with_replacement else self.family
+        return template.format(
+            name=name, param=self.parameter, seed=self.seed, **extra
+        )
+
     def describe(self) -> str:
         """Short human-readable form, e.g. ``stratified I=5``."""
-        if self.family == "random":
-            tag = "random wr" if self.with_replacement else "random"
-            return f"{tag} n={self.n}, seed={self.seed}"
-        if self.family == "systematic":
-            return f"systematic I={self.interval}"
-        if self.family == "bycount":
-            return f"bycount n={self.n}"
-        if self.family == "stratified":
-            return f"stratified I={self.interval}"
-        return f"underover k={self.k}, seed={self.seed}"
+        return self._format(FAMILIES[self.family].describe)
+
+    def column_title(self, total: int) -> str:
+        """Comparison column title for a run that drew ``total`` records."""
+        return self._format(FAMILIES[self.family].title, total=total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,16 +264,44 @@ def under_over_sample(dataset: TraceDataset, k: int, seed: int = 0) -> SampleRes
     return _result(dataset, spec, entries)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one sampling family.
+
+    ``describe`` and ``title`` are templates over ``name`` (the family,
+    plus `` wr`` with replacement), ``param`` (e.g. ``I=5``), ``seed``
+    and, in titles, ``total``: the records drawn, which stands in for a
+    requested ``n``.
+    """
+
+    size: str  # the one size parameter it takes: n, interval or k
+    short: str  # that parameter in run names: n, I or k
+    seeded: bool  # takes seed
+    with_replacement: bool  # takes with_replacement
+    sampler: Callable[..., SampleResult]  # (dataset, size, **seed/replacement)
+    describe: str  # SampleSpec.describe()
+    title: str  # comparison column title
+
+
+FAMILIES: dict[str, Family] = {
+    "random": Family("n", "n", True, True, random_sample,
+                     "{name} {param}, seed={seed}", "{name} seed={seed}, n={total}"),
+    "systematic": Family("interval", "I", False, False, systematic_sample,
+                         "{name} {param}", "{name} {param}, n={total}"),
+    "bycount": Family("n", "n", False, False, systematic_by_count,
+                      "{name} {param}", "{name}, n={total}"),
+    "stratified": Family("interval", "I", False, False, stratified_sample,
+                         "{name} {param}", "{name} {param}, n={total}"),
+    "underover": Family("k", "k", True, False, under_over_sample,
+                        "{name} {param}, seed={seed}",
+                        "{name} {param} seed={seed}, n={total}"),
+}
+
+
 def draw(dataset: TraceDataset, spec: SampleSpec) -> SampleResult:
     """Run the sampler described by ``spec``."""
-    if spec.family == "random":
-        return random_sample(
-            dataset, spec.n, with_replacement=spec.with_replacement, seed=spec.seed
-        )
-    if spec.family == "systematic":
-        return systematic_sample(dataset, spec.interval)
-    if spec.family == "bycount":
-        return systematic_by_count(dataset, spec.n)
-    if spec.family == "stratified":
-        return stratified_sample(dataset, spec.interval)
-    return under_over_sample(dataset, spec.k, seed=spec.seed)
+    entry = FAMILIES[spec.family]
+    options = {"seed": spec.seed} if entry.seeded else {}
+    if entry.with_replacement:
+        options["with_replacement"] = spec.with_replacement
+    return entry.sampler(dataset, spec.size, **options)

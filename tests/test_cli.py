@@ -364,6 +364,79 @@ def test_parse_run_matrix():
         parse_run_matrix("random\n", 0)  # n missing
 
 
+@pytest.mark.parametrize(
+    "line,flags",
+    [
+        ("random n=7 seed=3", ["random", "--n", "7", "--seed", "3"]),
+        ("random n=7 with_replacement=true",
+         ["random", "--n", "7", "--with-replacement"]),
+        ("systematic interval=3", ["systematic", "--interval", "3"]),
+        ("bycount n=4", ["bycount", "--n", "4"]),
+        ("stratified interval=2", ["stratified", "--interval", "2"]),
+        ("underover k=2", ["underover", "--k", "2"]),
+    ],
+)
+def test_run_matrix_and_sample_flags_build_equal_specs(
+    line, flags, tmp_path, monkeypatch
+):
+    import pktsample.cli
+
+    drawn = []
+    real_draw = pktsample.cli.draw
+
+    def recording_draw(dataset, spec):
+        drawn.append(spec)
+        return real_draw(dataset, spec)
+
+    monkeypatch.setattr(pktsample.cli, "draw", recording_draw)
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\nTCP\nUDP\nARP\n", encoding="utf-8")
+    argv = ["sample", "--input", str(data), "--out", str(tmp_path / "s.csv"),
+            "--seed", "2", "--family", *flags]
+    assert main(argv) == 0
+    assert drawn == parse_run_matrix(line + "\n", default_seed=2)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["systematic", "--interval", "100", "--n", "5", "--k", "3"],
+        ["random", "--n", "5", "--interval", "2"],
+        ["bycount", "--n", "2", "--k", "1"],
+        ["stratified", "--interval", "2", "--n", "3"],
+        ["underover", "--k", "2", "--interval", "3"],
+    ],
+)
+def test_sample_rejects_parameter_the_family_does_not_take(flags, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\n", encoding="utf-8")
+    assert main(["sample", "--input", str(data), "--family", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pktsample: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_matrix_rejects_parameter_the_family_does_not_take(tmp_path, capsys):
+    with pytest.raises(ValueError) as excinfo:
+        parse_run_matrix("random n=5\nsystematic interval=3 n=5 k=7\n", 0)
+    assert str(excinfo.value) == (
+        "runs line 2: systematic sampling takes interval, not n"
+    )
+    with pytest.raises(ValueError, match="^runs line 1: underover sampling takes k"):
+        parse_run_matrix("underover k=3 n=5\n", 0)
+    specs = parse_run_matrix("systematic interval=3 seed=4\nbycount n=2 seed=1\n", 7)
+    assert specs == [SampleSpec.systematic(3), SampleSpec.by_count(2)]
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\n", encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text("stratified interval=2 k=3\n", encoding="utf-8")
+    assert main(["compare", "--input", str(data), "--runs", str(runs)]) == 2
+    assert capsys.readouterr().err == (
+        "pktsample: error: runs line 1: stratified sampling takes interval, not k\n"
+    )
+
+
 def test_compare_random_shares_within_binomial_bands(pu_csv, tmp_path, capsys):
     """Fixed-seed random columns stay inside 99% binomial bands around
     the source proportions (hypergeometric variance is smaller, so the

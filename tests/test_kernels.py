@@ -161,6 +161,22 @@ def test_class_totals_match_explicit_sampling():
     assert totals == expected
 
 
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_class_count_trials_rows_feed_both_metrics(with_replacement):
+    counts = [5, 0, 3, 1]
+    rows = list(pure.class_count_trials(counts, 4, 6, 21, with_replacement))
+    assert len(rows) == 6 and all(sum(row) == 4 for row in rows)
+    assert all(row[1] == 0 for row in rows)
+    if not with_replacement:
+        assert all(c <= limit for row in rows for c, limit in zip(row, counts))
+    assert [row.count(0) for row in rows] == pure.missing_class_trials(
+        counts, 4, 6, 21, with_replacement
+    )
+    assert [sum(column) for column in zip(*rows)] == pure.class_total_trials(
+        counts, 4, 6, 21, with_replacement
+    )
+
+
 def test_trials_clamp_draw_to_population():
     counts = [2, 3]
     assert pure.missing_class_trials(counts, 50, 3, 0) == [0, 0, 0]

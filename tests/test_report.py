@@ -22,6 +22,8 @@ from pktsample.report import (
     round_half_up,
 )
 from pktsample.samplers import (
+    SampleSpec,
+    draw,
     random_sample,
     stratified_sample,
     under_over_sample,
@@ -110,6 +112,27 @@ def test_report_json_round_trips_full_precision(pu_hist, pu_dataset):
     assert envelope["missing"] == []
 
 
+SPEC_JSON_CASES = [
+    (SampleSpec.random(3, seed=5),
+     {"family": "random", "n": 3, "with_replacement": False, "seed": 5}),
+    (SampleSpec.random(3, with_replacement=True, seed=5),
+     {"family": "random", "n": 3, "with_replacement": True, "seed": 5}),
+    (SampleSpec.systematic(2), {"family": "systematic", "interval": 2}),
+    (SampleSpec.by_count(4), {"family": "bycount", "n": 4}),
+    (SampleSpec.stratified(2), {"family": "stratified", "interval": 2}),
+    (SampleSpec.under_over(2, seed=6), {"family": "underover", "k": 2, "seed": 6}),
+]
+
+
+@pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+@pytest.mark.parametrize("spec,expected", SPEC_JSON_CASES)
+def test_report_json_spec_object_per_family(small_hist, small_dataset, spec, expected):
+    report = class_report(small_hist, draw(small_dataset, spec))
+    envelope = json.loads(render_table(report, "json"))
+    assert list(envelope["spec"].items()) == list(expected.items())  # key order too
+    jsonschema.validate(envelope, report_schema())
+
+
 def test_report_json_identity_spec_null(pu_hist):
     envelope = json.loads(render_table(identity_report(pu_hist), "json"))
     assert envelope["spec"] is None
@@ -173,6 +196,15 @@ def test_matrix_column_titles_carry_run_and_size(pu_hist, pu_dataset):
     assert [c.parameter for c in matrix.columns] == [
         "I=5", "k=100", "n=500", "I=7", "n=4286",
     ]
+
+
+def test_matrix_column_title_random_with_replacement(small_hist, small_dataset):
+    report = class_report(
+        small_hist, random_sample(small_dataset, 30, with_replacement=True, seed=4)
+    )
+    column = ComparisonMatrix.from_reports([report]).columns[0]
+    assert column.title == "random wr seed=4, n=30"
+    assert (column.family, column.parameter, column.seed) == ("random", "n=30", 4)
 
 
 def test_matrix_csv_footer(pu_hist, pu_dataset):

@@ -61,11 +61,29 @@ def test_spec_validation():
         SampleSpec(family="stratified", interval=2, with_replacement=True)
 
 
+def test_spec_rejects_size_parameter_the_family_does_not_take():
+    with pytest.raises(ValueError, match="systematic sampling takes interval, not n"):
+        SampleSpec(family="systematic", interval=3, n=5)
+    with pytest.raises(ValueError, match="random sampling takes n, not k"):
+        SampleSpec(family="random", n=3, k=2)
+    with pytest.raises(ValueError, match="underover sampling takes k, not interval"):
+        SampleSpec(family="underover", k=3, interval=2)
+
+
 def test_spec_describe():
     assert SampleSpec.random(500).describe() == "random n=500, seed=0"
     assert SampleSpec.random(5, True, 9).describe() == "random wr n=5, seed=9"
     assert SampleSpec.stratified(5).describe() == "stratified I=5"
     assert SampleSpec.under_over(100, seed=2).describe() == "underover k=100, seed=2"
+
+
+def test_spec_describe_systematic_families_and_replacement():
+    assert SampleSpec.systematic(7).describe() == "systematic I=7"
+    assert SampleSpec.by_count(100).describe() == "bycount n=100"
+    assert (
+        SampleSpec.random(5, with_replacement=True, seed=9).describe()
+        == "random wr n=5, seed=9"
+    )
 
 
 def test_samplers_reject_empty_dataset():
