@@ -4,7 +4,8 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Covers the two hot paths that dominate real workloads: Monte Carlo
-missing-class trials and bulk without-replacement draws.  Both backends
+trials (the per-trial class counts that the missing-class and class-total
+metrics reduce) and bulk without-replacement draws.  Both backends
 produce bit-identical output (asserted here), so the only difference is
 speed.
 """
@@ -45,12 +46,12 @@ def main() -> None:
     counts = list(pu_tds_histogram().counts())
     cases = [
         (
-            "missing_class_trials(n=500, trials=2000)",
-            lambda impl: impl.missing_class_trials(counts, 500, 2000, 0),
+            "class_count_trials(n=500, trials=2000)",
+            lambda impl: impl.class_count_trials(counts, 500, 2000, 0),
         ),
         (
-            "class_total_trials(n=15000, trials=50)",
-            lambda impl: impl.class_total_trials(counts, 15000, 50, 0),
+            "class_count_trials(n=15000, trials=50)",
+            lambda impl: impl.class_count_trials(counts, 15000, 50, 0),
         ),
         (
             "sample_without_replacement(30000, 15000)",

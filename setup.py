@@ -1,12 +1,10 @@
-"""Build script: compiles the optional Cython kernel core.
+"""Build script: compiles the optional C kernel core.
 
 The package is fully functional without the extension (a pure-Python
-twin of every kernel ships in ``pktsample.kernels.pure``).  Set
-``PKTSAMPLE_PURE_PYTHON=1`` to skip the compile step entirely, e.g. on
-hosts without a C toolchain.
+twin of every kernel ships in ``pktsample.kernels.pure``).  Building
+needs only a C compiler; without one the build warns and the package
+falls back to the pure backend.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -35,25 +33,9 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    if os.environ.get("PKTSAMPLE_PURE_PYTHON") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "pktsample.kernels._native",
-                ["src/pktsample/kernels/_native.pyx"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[
+        Extension("pktsample.kernels._native", ["src/pktsample/kernels/_native.c"])
+    ],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -82,8 +82,9 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
     """Parse a declarative run list: one ``family key=value ...`` per line.
 
     Keys: the family's size key (n, interval or k) and seed, integers,
-    and with_replacement (true/false).  ``#`` starts a comment.  Runs of
-    a seeded family without an explicit seed inherit ``default_seed``.
+    and with_replacement (true/false), each at most once per line.  ``#``
+    starts a comment.  Runs of a seeded family without an explicit seed
+    inherit ``default_seed``.
     """
     specs = []
     for line_num, raw in enumerate(text.splitlines(), start=1):
@@ -101,6 +102,8 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
                 raise ValueError(
                     f"runs line {line_num}: expected key=value, got {token!r}"
                 )
+            if key in values:
+                raise ValueError(f"runs line {line_num}: repeated key {key!r}")
             if key in SIZE_PARAMETERS or key == "seed":
                 try:
                     values[key] = int(value)

@@ -34,8 +34,18 @@ derive_seed = _impl.derive_seed
 permutation = _impl.permutation
 sample_without_replacement = _impl.sample_without_replacement
 sample_with_replacement = _impl.sample_with_replacement
-missing_class_trials = _impl.missing_class_trials
-class_total_trials = _impl.class_total_trials
+
+
+def missing_class_trials(counts, draw, trials, seed, with_replacement=False) -> list[int]:
+    """Per-trial missing-class counts (see ``class_count_trials``)."""
+    rows = _impl.class_count_trials(counts, draw, trials, seed, with_replacement)
+    return [row.count(0) for row in rows]
+
+
+def class_total_trials(counts, draw, trials, seed, with_replacement=False) -> list[int]:
+    """Per-class sampled counts summed over ``trials`` substream runs."""
+    rows = _impl.class_count_trials(counts, draw, trials, seed, with_replacement)
+    return [sum(column) for column in zip(*rows)] or [0] * len(counts)
 
 
 def backend_name() -> str:

@@ -1,7 +1,7 @@
 """Pure-Python sampling kernels.
 
 This module is the reference implementation of the deterministic core
-every sampler builds on.  A compiled twin lives in ``_native.pyx``; the
+every sampler builds on.  A compiled twin lives in ``_native.c``; the
 two must produce bit-identical output for equal inputs, which the test
 suite enforces whenever the extension is importable.
 
@@ -15,6 +15,8 @@ the smallest covering power of two, reject values >= bound.  A bound of
 1 consumes no PRNG output.  Substreams (one per stratum, one per Monte
 Carlo trial) are derived as ``mix64(seed + GAMMA * (index + 1))`` so
 that adding a stratum or trial never perturbs earlier streams.
+Population, count, draw and trials must lie in [0, 2**63); seeds and
+indices are any ints, taken modulo 2**64.
 
 Every function here is a pure function of its arguments; golden output
 vectors for pinned seeds are committed under ``tests/golden/``.
@@ -22,7 +24,8 @@ vectors for pinned seeds are committed under ``tests/golden/``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from bisect import bisect_right
+from itertools import accumulate
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -67,8 +70,24 @@ class Rng:
                 return value
 
 
+_LIMIT = 1 << 63
+
+
+def _check_sizes(**sizes: int) -> None:
+    """Population, count, draw and trials must lie in [0, 2**63)."""
+    for name, value in sizes.items():
+        if not 0 <= value < _LIMIT:
+            raise ValueError(f"{name} must lie in [0, 2**63), got {value!r}")
+
+
+def _check_nonempty(population: int, count: int) -> None:
+    if count > 0 and population == 0:
+        raise ValueError("cannot draw from an empty population")
+
+
 def permutation(count: int, seed: int) -> list[int]:
     """Fisher-Yates permutation of 0..count-1, high index downward."""
+    _check_sizes(count=count)
     items = list(range(count))
     rng = Rng(seed)
     for i in range(count - 1, 0, -1):
@@ -85,6 +104,7 @@ def sample_without_replacement(population: int, count: int, seed: int) -> list[i
     ``count >= population`` the whole population is returned and no PRNG
     output is consumed.
     """
+    _check_sizes(population=population, count=count)
     if count >= population:
         return list(range(1, population + 1))
     rng = Rng(seed)
@@ -101,16 +121,10 @@ def sample_without_replacement(population: int, count: int, seed: int) -> list[i
 
 def sample_with_replacement(population: int, count: int, seed: int) -> list[int]:
     """``count`` independent uniform draws of 1-based positions, draw order."""
+    _check_sizes(population=population, count=count)
+    _check_nonempty(population, count)
     rng = Rng(seed)
     return [rng.randbelow(population) + 1 for _ in range(count)]
-
-
-def _class_lookup(counts: list[int]) -> list[int]:
-    """Expand per-class counts into a position -> class-index table."""
-    lookup = []
-    for index, count in enumerate(counts):
-        lookup.extend([index] * count)
-    return lookup
 
 
 def class_count_trials(
@@ -119,23 +133,32 @@ def class_count_trials(
     trials: int,
     seed: int,
     with_replacement: bool = False,
-) -> Iterator[list[int]]:
-    """Yield each trial's per-class sampled counts for uniform sampling.
+) -> list[list[int]]:
+    """Each trial's per-class sampled counts for uniform sampling.
 
     The population is the concatenation of class blocks sized by
     ``counts``; trial ``t`` runs on the substream ``derive_seed(seed, t)``.
     Exchangeability makes the block layout statistically identical to any
-    record ordering for uniform draws.
+    record ordering for uniform draws.  A position's class is found by
+    bisecting the cumulative block ends, so memory follows the class and
+    draw counts, not the population.
     """
-    population = sum(counts)
-    lookup = _class_lookup(counts)
-    draw = min(draw, population) if not with_replacement else draw
+    for count in counts:
+        _check_sizes(counts=count)
+    ends = list(accumulate(counts))
+    population = ends[-1] if ends else 0
+    _check_sizes(population=population, draw=draw, trials=trials)
+    if with_replacement:
+        _check_nonempty(population, draw)
+    else:
+        draw = min(draw, population)
+    rows = []
     for trial in range(trials):
         randbelow = Rng(derive_seed(seed, trial)).randbelow
-        row = [0] * len(counts)
+        row = [0] * len(ends)
         if with_replacement:
             for _ in range(draw):
-                row[lookup[randbelow(population)]] += 1
+                row[bisect_right(ends, randbelow(population))] += 1
         else:
             swaps: dict[int, int] = {}
             get = swaps.get
@@ -143,31 +166,6 @@ def class_count_trials(
                 j = i + randbelow(population - i)
                 taken = get(j, j)
                 swaps[j] = get(i, i)
-                row[lookup[taken]] += 1
-        yield row
-
-
-def missing_class_trials(
-    counts: list[int],
-    draw: int,
-    trials: int,
-    seed: int,
-    with_replacement: bool = False,
-) -> list[int]:
-    """Per-trial missing-class counts (see ``class_count_trials``)."""
-    rows = class_count_trials(counts, draw, trials, seed, with_replacement)
-    return [row.count(0) for row in rows]
-
-
-def class_total_trials(
-    counts: list[int],
-    draw: int,
-    trials: int,
-    seed: int,
-    with_replacement: bool = False,
-) -> list[int]:
-    """Summed per-class sampled counts over ``trials`` substream runs."""
-    totals = [0] * len(counts)
-    for row in class_count_trials(counts, draw, trials, seed, with_replacement):
-        totals = [total + count for total, count in zip(totals, row)]
-    return totals
+                row[bisect_right(ends, taken)] += 1
+        rows.append(row)
+    return rows

@@ -437,6 +437,25 @@ def test_run_matrix_rejects_parameter_the_family_does_not_take(tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("random n=5 n=6", "n"),
+        ("random n=5 with_replacement=true with_replacement=false", "with_replacement"),
+        ("underover k=3 seed=1 seed=2", "seed"),
+    ],
+)
+def test_compare_rejects_repeated_run_key(tmp_path, capsys, line, key):
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\n", encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text(f"stratified interval=2\n{line}\n", encoding="utf-8")
+    assert main(["compare", "--input", str(data), "--runs", str(runs)]) == 2
+    assert capsys.readouterr().err == (
+        f"pktsample: error: runs line 2: repeated key {key!r}\n"
+    )
+
+
 def test_compare_random_shares_within_binomial_bands(pu_csv, tmp_path, capsys):
     """Fixed-seed random columns stay inside 99% binomial bands around
     the source proportions (hypergeometric variance is smaller, so the

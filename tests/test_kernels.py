@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pktsample import kernels
 from pktsample.kernels import pure
@@ -135,7 +137,7 @@ def test_missing_trials_match_explicit_sampling():
         return found
 
     for base_seed in (0, 99):
-        reported = pure.missing_class_trials(counts, 6, 8, base_seed)
+        reported = kernels.missing_class_trials(counts, 6, 8, base_seed)
         for trial in range(8):
             seed = pure.derive_seed(base_seed, trial)
             positions = pure.sample_without_replacement(sum(counts), 6, seed)
@@ -144,7 +146,7 @@ def test_missing_trials_match_explicit_sampling():
 
 def test_class_totals_match_explicit_sampling():
     counts = [5, 3, 2, 14]
-    totals = pure.class_total_trials(counts, 6, 10, 17)
+    totals = kernels.class_total_trials(counts, 6, 10, 17)
     assert sum(totals) == 6 * 10
     expected = [0] * len(counts)
     bounds = []
@@ -169,18 +171,70 @@ def test_class_count_trials_rows_feed_both_metrics(with_replacement):
     assert all(row[1] == 0 for row in rows)
     if not with_replacement:
         assert all(c <= limit for row in rows for c, limit in zip(row, counts))
-    assert [row.count(0) for row in rows] == pure.missing_class_trials(
+    assert [row.count(0) for row in rows] == kernels.missing_class_trials(
         counts, 4, 6, 21, with_replacement
     )
-    assert [sum(column) for column in zip(*rows)] == pure.class_total_trials(
+    assert [sum(column) for column in zip(*rows)] == kernels.class_total_trials(
         counts, 4, 6, 21, with_replacement
     )
 
 
 def test_trials_clamp_draw_to_population():
     counts = [2, 3]
-    assert pure.missing_class_trials(counts, 50, 3, 0) == [0, 0, 0]
-    assert pure.class_total_trials(counts, 50, 2, 0) == [4, 6]
+    assert kernels.missing_class_trials(counts, 50, 3, 0) == [0, 0, 0]
+    assert kernels.class_total_trials(counts, 50, 2, 0) == [4, 6]
+
+
+def test_trial_reductions_without_trials():
+    assert kernels.missing_class_trials([2, 3], 1, 0, 0) == []
+    assert kernels.class_total_trials([2, 3], 1, 0, 0) == [0, 0]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_empty_population_draws_rejected(impl):
+    with pytest.raises(ValueError, match="empty population"):
+        impl.sample_with_replacement(0, 3, 1)
+    for counts in ([], [0, 0]):
+        with pytest.raises(ValueError, match="empty population"):
+            impl.class_count_trials(counts, 5, 2, 0, True)
+        assert impl.class_count_trials(counts, 5, 2, 0) == [[0] * len(counts)] * 2
+        assert impl.class_count_trials(counts, 0, 2, 0, True) == [[0] * len(counts)] * 2
+    assert impl.sample_with_replacement(0, 0, 1) == []
+    assert impl.sample_without_replacement(0, 3, 1) == []
+    assert impl.permutation(0, 1) == []
+
+
+SIZE_CALLS = {
+    "permutation": lambda impl, size: impl.permutation(size, 0),
+    "population": lambda impl, size: impl.sample_without_replacement(size, 2, 0),
+    "count": lambda impl, size: impl.sample_without_replacement(5, size, 0),
+    "wr_population": lambda impl, size: impl.sample_with_replacement(size, 2, 0),
+    "wr_count": lambda impl, size: impl.sample_with_replacement(5, size, 0),
+    "counts": lambda impl, size: impl.class_count_trials([1, size], 2, 1, 0),
+    "draw": lambda impl, size: impl.class_count_trials([3, 4], size, 1, 0),
+    "trials": lambda impl, size: impl.class_count_trials([3, 4], 2, size, 0),
+}
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize("argument", sorted(SIZE_CALLS))
+@pytest.mark.parametrize("size", [-1, -(2**64), 2**63, 2**64 + 3])
+def test_sizes_outside_0_to_2_63_rejected(impl, argument, size):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+        SIZE_CALLS[argument](impl, size)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_sizes_up_to_2_63_accepted(impl):
+    top = 2**63 - 1
+    picks = impl.sample_without_replacement(top, 3, -5)
+    assert len(set(picks)) == 3 and all(1 <= p <= top for p in picks)
+    assert all(1 <= p <= top for p in impl.sample_with_replacement(top, 3, 2**70))
+    rows = impl.class_count_trials([2**62, 2**62 - 1], 3, 2, 9)
+    assert len(rows) == 2 and all(sum(row) == 3 for row in rows)
+    with pytest.raises(ValueError, match="population"):
+        impl.class_count_trials([2**62, 2**62], 1, 1, 0)
+    assert impl.derive_seed(2**70 + 5, -3) == pure.derive_seed(5, 2**64 - 3)
 
 
 @pytest.mark.skipif(_native is None, reason="native kernels not built")
@@ -215,12 +269,52 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("with_replacement", [False, True])
     def test_trials(self, seed, with_replacement):
         counts = [346, 3235, 24, 1, 90]
-        assert pure.missing_class_trials(
+        assert pure.class_count_trials(
             counts, 40, 25, seed, with_replacement
-        ) == _native.missing_class_trials(counts, 40, 25, seed, with_replacement)
-        assert pure.class_total_trials(
-            counts, 40, 25, seed, with_replacement
-        ) == _native.class_total_trials(counts, 40, 25, seed, with_replacement)
+        ) == _native.class_count_trials(counts, 40, 25, seed, with_replacement)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or ValueError if it raised one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+SEEDS = st.integers(-(2**70), 2**70)
+
+
+@pytest.mark.skipif(_native is None, reason="native kernels not built")
+class TestBackendEquivalenceProperty:
+    """Pure and native agree on generated arguments, errors included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 60), max_size=7),
+        draw=st.integers(0, 150),
+        trials=st.integers(0, 4),
+        seed=SEEDS,
+        with_replacement=st.booleans(),
+    )
+    def test_class_count_trials(self, counts, draw, trials, seed, with_replacement):
+        args = (counts, draw, trials, seed, with_replacement)
+        assert _outcome(pure.class_count_trials, *args) == _outcome(
+            _native.class_count_trials, *args
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(population=st.integers(0, 2**40), count=st.integers(0, 200), seed=SEEDS)
+    def test_samplers(self, population, count, seed):
+        for name in ("sample_without_replacement", "sample_with_replacement"):
+            assert _outcome(getattr(pure, name), population, count, seed) == _outcome(
+                getattr(_native, name), population, count, seed
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.integers(0, 300), seed=SEEDS)
+    def test_permutation(self, count, seed):
+        assert pure.permutation(count, seed) == _native.permutation(count, seed)
 
 
 def test_backend_name_reported():

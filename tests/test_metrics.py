@@ -345,3 +345,13 @@ def test_mc_class_totals_unbiased(pu_hist):
         expected = 500 * 3000 * count / 30000
         spread = math.sqrt(500 * 3000 * (count / 30000) * (1 - count / 30000))
         assert abs(total - expected) <= 5 * spread + 5, label
+
+
+def test_mc_empty_histogram():
+    empty = ClassHistogram(entries=())
+    with pytest.raises(ValueError, match="empty population"):
+        mc_missing_class_counts(empty, 5, 2, 0, True)
+    with pytest.raises(ValueError, match="empty population"):
+        mc_class_sampled_totals(empty, 5, 2, 0, True)
+    assert mc_missing_class_counts(empty, 5, 2, 0) == [0, 0]
+    assert mc_class_sampled_totals(empty, 5, 2, 0) == []
