@@ -53,6 +53,16 @@ def _error(message: str) -> None:
     print(f"pktsample: error: {message}", file=sys.stderr)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error, in a subcommand too, ends in the one ``pktsample:
+    error:`` line every other error prints."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _error(message)
+        sys.exit(2)
+
+
 def _bad_decimals(args) -> bool:
     if args.decimals < 0:
         _error("--decimals must be >= 0")
@@ -273,7 +283,7 @@ def _add_render_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pktsample",
         description="Deterministic sampling and imbalance analysis for "
         "protocol-labeled packet traces.",

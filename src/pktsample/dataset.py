@@ -1,7 +1,8 @@
 """Labeled packet-record datasets: ingestion, histograms, synthesis.
 
 A dataset is an ordered sequence of protocol-labeled records, stored
-as a label column plus passthrough attributes.  Labels are opaque
+as a label column plus passthrough attributes left in the input text
+until something asks for them.  Labels are opaque
 strings compared exactly (case-sensitively) after whitespace trimming;
 everything else a row carries is kept as passthrough attributes.  The
 reference ingestion schema is a Wireshark-style CSV export (``No.,
@@ -11,9 +12,11 @@ the ``Protocol`` column.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import re
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -50,45 +53,76 @@ class PacketRecord:
     attributes: tuple[tuple[str, str], ...] = ()
 
 
-class _Columns:
-    """Passthrough attributes as one sequence of strings per column."""
+class _SourceRows:
+    """Passthrough attributes left in the input, parsed one record at a time.
 
-    __slots__ = ("keys", "columns")
+    ``source`` is the whole input as read (``bytes``, or ``str`` from a
+    text stream), and ``ends[k]`` is the physical line on which record k
+    ends; ``ends[0]`` is the CSV header's last line (0 for NDJSON).  A CSV
+    record's text runs from the line after ``ends[k - 1]`` through
+    ``ends[k]``, so it may hold blank lines and quoted line breaks, and it
+    parses as it did in the whole file; an NDJSON record is its one line.
+    ``keys`` are the CSV attribute keys (``None`` for NDJSON, whose keys
+    vary by record) and ``label`` is the CSV label index or the NDJSON
+    label column.  Line offsets are found on first access.
+    """
 
-    def __init__(self, keys: tuple[str, ...], columns: Sequence[Sequence[str]]):
+    __slots__ = ("source", "ends", "keys", "label", "_starts")
+
+    def __init__(self, source: bytes | str, ends: array, keys, label):
+        self.source = source
+        self.ends = ends
         self.keys = keys
-        self.columns = columns
+        self.label = label
+        self._starts: array | None = None
+
+    def _line_starts(self) -> array:
+        r"""The offset at which each physical line starts, then the end of
+        the source; lines end at ``\r\n``, ``\r`` or ``\n``, as in
+        ``TextIOWrapper(newline="")``.  A BOM is skipped only at offset 0."""
+        source = self.source
+        if isinstance(source, str):
+            breaks = re.finditer(r"\r\n?|\n", source)
+            first = 0
+        else:
+            breaks = re.finditer(rb"\r\n?|\n", source)
+            first = len(codecs.BOM_UTF8) if source.startswith(codecs.BOM_UTF8) else 0
+        starts = array("q", [first])
+        starts.extend(match.end() for match in breaks)
+        if starts[-1] != len(source):
+            starts.append(len(source))
+        return starts
 
     def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.keys, [column[index] for column in self.columns]))
-
-
-class _JsonLines:
-    """Passthrough attributes as raw NDJSON line text, parsed on access."""
-
-    __slots__ = ("lines", "label_column")
-
-    def __init__(self, lines: Sequence[str], label_column: str):
-        self.lines = lines
-        self.label_column = label_column
-
-    def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
-        obj = json.loads(self.lines[index])
-        return tuple(
-            (key, _stringify(value))
-            for key, value in obj.items()
-            if key != self.label_column
-        )
+        if self.keys == ():
+            return ()
+        if self._starts is None:
+            self._starts = self._line_starts()
+        last = self.ends[index + 1]
+        first = last if self.keys is None else self.ends[index] + 1
+        text = self.source[self._starts[first - 1] : self._starts[last]]
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        if self.keys is None:
+            return tuple(
+                (key, _stringify(value))
+                for key, value in json.loads(text).items()
+                if key != self.label
+            )
+        row = next(filter(None, csv.reader(io.StringIO(text, newline=""))))
+        del row[self.label]
+        return tuple(zip(self.keys, row))
 
 
 class TraceDataset:
     """Ordered, immutable sequence of records; the population being sampled.
 
-    The dataset is stored as columns, not as one object per record:
-    ``labels[k - 1]`` is the label of record k (one shared ``str`` per
-    distinct label), and the passthrough attributes stay in the form
-    ingestion found them in (one tuple of strings per CSV column, the raw
-    NDJSON line text).  ``records`` is a lazy library view that builds
+    The dataset is stored as a label column, not as one object per
+    record: ``labels[k - 1]`` is the label of record k (one shared ``str``
+    per distinct label).  A parsed dataset keeps its passthrough
+    attributes in the input it was read from, with the line on which each
+    record ends, and parses a record's attributes only when they are
+    asked for.  ``records`` is a lazy library view that builds
     ``PacketRecord`` objects on first access.
     """
 
@@ -107,10 +141,11 @@ class TraceDataset:
         self.__dict__["records"] = records  # the cached view is these records
 
     @classmethod
-    def _from_columns(
-        cls, labels: Iterable[str], attributes: _Columns | _JsonLines
+    def _from_labels(
+        cls, labels: Iterable[str], attributes: _SourceRows
     ) -> "TraceDataset":
-        """A dataset over already validated columns (no per-record objects)."""
+        """A dataset over an already validated label column and its
+        attribute store (no per-record objects)."""
         dataset = cls.__new__(cls)
         dataset.labels = tuple(labels)
         dataset._attributes = attributes
@@ -144,8 +179,8 @@ class TraceDataset:
 
         Raises ``ValueError`` when records carry differing key layouts.
         """
-        if isinstance(self._attributes, _Columns):
-            return self._attributes.keys, self._attributes.columns
+        if isinstance(self._attributes, _SourceRows) and self._attributes.keys == ():
+            return (), ()
         rows = [self._attributes[i] for i in range(self.population)]
         keys = tuple(key for key, _ in rows[0]) if rows else ()
         if any(tuple(key for key, _ in row) != keys for row in rows):
@@ -234,7 +269,7 @@ def _undecodable(exc: UnicodeDecodeError, lines_read: int) -> InvalidUtf8:
     return InvalidUtf8(f"line {line}: input is not valid UTF-8")
 
 
-def _parse_csv(text: IO[str], label_column: str) -> TraceDataset:
+def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -242,6 +277,8 @@ def _parse_csv(text: IO[str], label_column: str) -> TraceDataset:
         raise EmptyDataset("input has no header row") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(exc, reader.line_num) from None
+    except csv.Error as exc:
+        raise MalformedRow(f"header (line {reader.line_num}): {exc}") from None
     if label_column not in header:
         raise MissingLabelColumn(
             f"header {header!r} lacks label column {label_column!r}"
@@ -249,41 +286,41 @@ def _parse_csv(text: IO[str], label_column: str) -> TraceDataset:
     label_index = header.index(label_column)
     width = len(header)
     keys = tuple(key for i, key in enumerate(header) if i != label_index)
-    columns: list = [[] for _ in keys]
     labels: list[str] = []
+    ends = array("q", [reader.line_num])
     shared: dict[str, str] = {}
-    row_number = 0
     try:
         for row in reader:
-            if not row:
-                continue
-            row_number += 1
             if len(row) != width:
+                if not row:
+                    continue
                 raise MalformedRow(
-                    f"row {row_number} (line {reader.line_num}): expected "
+                    f"row {len(labels) + 1} (line {reader.line_num}): expected "
                     f"{width} columns, got {len(row)}"
                 )
-            label = row.pop(label_index).strip()
+            label = row[label_index].strip()
             if not label:
                 raise EmptyLabel(
-                    f"row {row_number} (line {reader.line_num}): blank label"
+                    f"row {len(labels) + 1} (line {reader.line_num}): blank label"
                 )
             labels.append(shared.setdefault(label, label))
-            for column, value in zip(columns, row):
-                column.append(value)
+            ends.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise _undecodable(exc, reader.line_num) from None
+    except csv.Error as exc:
+        raise MalformedRow(
+            f"row {len(labels) + 1} (line {reader.line_num}): {exc}"
+        ) from None
     if not labels:
         raise EmptyDataset("input has no data rows")
-    # The cyclic GC stops scanning a tuple of strings, never a list.
-    for i, column in enumerate(columns):
-        columns[i] = tuple(column)
-    return TraceDataset._from_columns(labels, _Columns(keys, tuple(columns)))
+    return TraceDataset._from_labels(
+        labels, _SourceRows(source, ends, keys, label_index)
+    )
 
 
-def _parse_ndjson(text: IO[str], label_column: str) -> TraceDataset:
+def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
     labels: list[str] = []
-    lines: list[str] = []
+    ends = array("q", [0])
     shared: dict[str, str] = {}
     line_num = 0
     try:
@@ -296,6 +333,14 @@ def _parse_ndjson(text: IO[str], label_column: str) -> TraceDataset:
                 raise MalformedRow(
                     f"line {line_num}: invalid JSON ({exc.msg})"
                 ) from None
+            except RecursionError:
+                raise MalformedRow(
+                    f"line {line_num}: invalid JSON (nested too deeply)"
+                ) from None
+            except ValueError:  # an integer past int's digit limit
+                raise MalformedRow(
+                    f"line {line_num}: invalid JSON (number has too many digits)"
+                ) from None
             if not isinstance(obj, dict):
                 raise MalformedRow(f"line {line_num}: expected a JSON object")
             if label_column not in obj:
@@ -305,13 +350,29 @@ def _parse_ndjson(text: IO[str], label_column: str) -> TraceDataset:
             label = _stringify(obj[label_column]).strip()
             if not label:
                 raise EmptyLabel(f"line {line_num}: blank label")
-            labels.append(shared.setdefault(label, label))
-            lines.append(line)
+            if label not in shared:
+                _check_encodable(label, line_num)
+                shared[label] = label
+            labels.append(shared[label])
+            ends.append(line_num)
     except UnicodeDecodeError as exc:
         raise _undecodable(exc, line_num) from None
     if not labels:
         raise EmptyDataset("input has no data rows")
-    return TraceDataset._from_columns(labels, _JsonLines(tuple(lines), label_column))
+    return TraceDataset._from_labels(
+        labels, _SourceRows(source, ends, None, label_column)
+    )
+
+
+def _check_encodable(label: str, line_num: int) -> None:
+    r"""A JSON ``\ud800`` escape decodes to a lone surrogate, which no
+    report can write as UTF-8."""
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRow(
+            f"line {line_num}: label is not valid Unicode (lone surrogate)"
+        ) from None
 
 
 def parse_records(
@@ -324,18 +385,20 @@ def parse_records(
     ``format`` is ``csv`` (header row required) or ``ndjson`` (one object
     per line).  Row order is preserved: record k corresponds to data row k.
     A leading byte-order mark is skipped; bytes that are not UTF-8 raise
-    ``InvalidUtf8`` naming the line.
+    ``InvalidUtf8`` naming the line.  The stream is read once and kept:
+    only the labels are parsed here, each record's other fields when they
+    are asked for.
     """
+    if format not in ("csv", "ndjson"):
+        raise ValueError(f"unknown format {format!r} (use 'csv' or 'ndjson')")
+    source = stream.read()
     text: IO[str]
-    if isinstance(stream, io.TextIOBase):
-        text = stream
+    if isinstance(source, str):
+        text = io.StringIO(source, newline="")
     else:
-        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-    if format == "csv":
-        return _parse_csv(text, label_column)
-    if format == "ndjson":
-        return _parse_ndjson(text, label_column)
-    raise ValueError(f"unknown format {format!r} (use 'csv' or 'ndjson')")
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    parse = _parse_csv if format == "csv" else _parse_ndjson
+    return parse(source, text, label_column)
 
 
 def load_dataset(
@@ -372,7 +435,7 @@ def synthesize(
     if arrangement == "shuffled":
         order = kernels.permutation(len(labels), seed)
         labels = [labels[i] for i in order]
-    return TraceDataset._from_columns(labels, _Columns((), ()))
+    return TraceDataset._from_labels(labels, _SourceRows("", array("q"), (), 0))
 
 
 def parse_histogram_spec(text: str) -> ClassHistogram:

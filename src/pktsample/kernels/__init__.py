@@ -9,6 +9,7 @@ backend (useful for benchmarks and the equivalence tests).
 from __future__ import annotations
 
 import os
+from operator import add
 
 from pktsample.kernels import pure as _pure_module
 
@@ -36,16 +37,37 @@ sample_without_replacement = _impl.sample_without_replacement
 sample_with_replacement = _impl.sample_with_replacement
 
 
+_TRIAL_BLOCK = 1024  # trials per kernel call: the rows held at once
+
+
+def _trial_blocks(counts, draw, trials, seed, with_replacement):
+    """``class_count_trials`` rows, ``_TRIAL_BLOCK`` trials at a time, so
+    memory does not grow with ``trials``.  Trial ``t`` keeps its substream,
+    so the rows are those of one call.  No trials still makes one call,
+    which checks the other arguments."""
+    _pure_module._check_sizes(trials=trials)
+    for first in range(0, trials or 1, _TRIAL_BLOCK):
+        yield _impl.class_count_trials(
+            counts, draw, min(_TRIAL_BLOCK, trials - first), seed, with_replacement, first
+        )
+
+
 def missing_class_trials(counts, draw, trials, seed, with_replacement=False) -> list[int]:
     """Per-trial missing-class counts (see ``class_count_trials``)."""
-    rows = _impl.class_count_trials(counts, draw, trials, seed, with_replacement)
-    return [row.count(0) for row in rows]
+    return [
+        row.count(0)
+        for rows in _trial_blocks(counts, draw, trials, seed, with_replacement)
+        for row in rows
+    ]
 
 
 def class_total_trials(counts, draw, trials, seed, with_replacement=False) -> list[int]:
     """Per-class sampled counts summed over ``trials`` substream runs."""
-    rows = _impl.class_count_trials(counts, draw, trials, seed, with_replacement)
-    return [sum(column) for column in zip(*rows)] or [0] * len(counts)
+    totals = [0] * len(counts)
+    for rows in _trial_blocks(counts, draw, trials, seed, with_replacement):
+        for row in rows:
+            totals = list(map(add, totals, row))
+    return totals
 
 
 def backend_name() -> str:

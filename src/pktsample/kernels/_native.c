@@ -6,7 +6,8 @@
  *
  * Plain C99 against the CPython C-API; it needs nothing but a C compiler.
  * Population, count, draw and trials lie in [0, 2**63), else ValueError;
- * seeds and indices are any ints, taken modulo 2**64.
+ * seeds and indices are any ints, taken modulo 2**64; an Rng bound lies
+ * in [1, 2**64), else ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -195,8 +196,16 @@ static PyObject *Rng_next_u64(RngObject *self, PyObject *unused)
 static PyObject *Rng_randbelow(RngObject *self, PyObject *bound)
 {
     unsigned long long value = PyLong_AsUnsignedLongLong(bound);
-    if (value == (unsigned long long)-1 && PyErr_Occurred())
+    if (value == (unsigned long long)-1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return NULL;
+        PyErr_Clear();
+        value = 0;
+    }
+    if (value == 0) {
+        PyErr_Format(PyExc_ValueError, "bound must lie in [1, 2**64), got %R", bound);
         return NULL;
+    }
     return PyLong_FromUnsignedLongLong(randbelow(&self->state, value));
 }
 
@@ -322,17 +331,18 @@ static Py_ssize_t class_of(const int64_t *ends, Py_ssize_t classes, int64_t posi
 static PyObject *class_count_trials(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"counts", "draw", "trials", "seed", "with_replacement",
-                             NULL};
-    PyObject *counts_arg, *draw_arg, *trials_arg, *seed_arg, *counts, *rows = NULL, *row;
+                             "first", NULL};
+    PyObject *counts_arg, *draw_arg, *trials_arg, *seed_arg, *first_arg = NULL, *counts,
+        *rows = NULL, *row;
     int with_replacement = 0;
     int64_t *ends, *per_class, population = 0, draw, trials, trial, count, i;
-    uint64_t seed, state;
+    uint64_t seed, first = 0, state;
     Py_ssize_t classes, c;
     SwapMap swaps = {0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO|p:class_count_trials", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO|pO:class_count_trials", kwlist,
                                      &counts_arg, &draw_arg, &trials_arg, &seed_arg,
-                                     &with_replacement)
+                                     &with_replacement, &first_arg)
         || (counts = PySequence_Fast(counts_arg, "counts must be a sequence")) == NULL)
         return NULL;
     classes = PySequence_Fast_GET_SIZE(counts);
@@ -352,7 +362,8 @@ static PyObject *class_count_trials(PyObject *module, PyObject *args, PyObject *
         ends[c] = population;
     }
     if (as_size(draw_arg, "draw", &draw) < 0 || as_size(trials_arg, "trials", &trials) < 0
-        || as_u64(seed_arg, &seed) < 0)
+        || as_u64(seed_arg, &seed) < 0
+        || (first_arg != NULL && as_u64(first_arg, &first) < 0))
         goto done;
     if (with_replacement && draw > 0 && population == 0) {
         PyErr_SetString(PyExc_ValueError, "cannot draw from an empty population");
@@ -364,7 +375,7 @@ static PyObject *class_count_trials(PyObject *module, PyObject *args, PyObject *
         goto done;
     rows = new_list(trials);
     for (trial = 0; rows != NULL && trial < trials; trial++) {
-        state = mix64(seed + GAMMA * ((uint64_t)trial + 1));
+        state = mix64(seed + GAMMA * (first + (uint64_t)trial + 1));
         memset(per_class, 0, sizeof(int64_t) * classes);
         if (trial > 0 && !with_replacement)
             swapmap_reset(&swaps);
@@ -400,7 +411,8 @@ static PyMethodDef module_methods[] = {
     KERNEL(sample_with_replacement,
            "``count`` independent uniform draws of 1-based positions, draw order."),
     KERNEL(class_count_trials,
-           "Each trial's per-class sampled counts for uniform sampling."),
+           "Per-class sampled counts of trials ``first .. first + trials - 1`` "
+           "of uniform sampling."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,10 +11,11 @@ All randomness comes from SplitMix64 (Steele, Lea & Flood): the state
 advances by the 64-bit golden-ratio constant and each output is the
 standard two-round multiply-xorshift finalizer.  Seeds are taken modulo
 2**64.  Bounded draws use mask-and-reject: draw 64 bits, mask down to
-the smallest covering power of two, reject values >= bound.  A bound of
-1 consumes no PRNG output.  Substreams (one per stratum, one per Monte
-Carlo trial) are derived as ``mix64(seed + GAMMA * (index + 1))`` so
-that adding a stratum or trial never perturbs earlier streams.
+the smallest covering power of two, reject values >= bound.  A bound
+lies in [1, 2**64), else ``ValueError``; a bound of 1 consumes no PRNG
+output.  Substreams (one per stratum, one per Monte Carlo trial) are
+derived as ``mix64(seed + GAMMA * (index + 1))`` so that adding a
+stratum or trial never perturbs earlier streams.
 Population, count, draw and trials must lie in [0, 2**63); seeds and
 indices are any ints, taken modulo 2**64.
 
@@ -32,6 +33,7 @@ GAMMA = 0x9E3779B97F4A7C15
 
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_BOUND_LIMIT = 1 << 64
 
 
 def mix64(z: int) -> int:
@@ -61,7 +63,13 @@ class Rng:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) via mask-and-reject."""
-        if bound <= 1:
+        if not 1 <= bound < _BOUND_LIMIT:
+            raise ValueError(f"bound must lie in [1, 2**64), got {bound!r}")
+        return self._below(bound)
+
+    def _below(self, bound: int) -> int:
+        """``randbelow`` for a bound the caller knows lies in [1, 2**64)."""
+        if bound == 1:
             return 0
         mask = (1 << (bound - 1).bit_length()) - 1
         while True:
@@ -91,7 +99,7 @@ def permutation(count: int, seed: int) -> list[int]:
     items = list(range(count))
     rng = Rng(seed)
     for i in range(count - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+        j = rng._below(i + 1)
         items[i], items[j] = items[j], items[i]
     return items
 
@@ -111,7 +119,7 @@ def sample_without_replacement(population: int, count: int, seed: int) -> list[i
     swaps: dict[int, int] = {}
     out = []
     for i in range(count):
-        j = i + rng.randbelow(population - i)
+        j = i + rng._below(population - i)
         taken = swaps.get(j, j)
         swaps[j] = swaps.get(i, i)
         out.append(taken + 1)
@@ -124,7 +132,7 @@ def sample_with_replacement(population: int, count: int, seed: int) -> list[int]
     _check_sizes(population=population, count=count)
     _check_nonempty(population, count)
     rng = Rng(seed)
-    return [rng.randbelow(population) + 1 for _ in range(count)]
+    return [rng._below(population) + 1 for _ in range(count)]
 
 
 def class_count_trials(
@@ -133,11 +141,14 @@ def class_count_trials(
     trials: int,
     seed: int,
     with_replacement: bool = False,
+    first: int = 0,
 ) -> list[list[int]]:
-    """Each trial's per-class sampled counts for uniform sampling.
+    """Per-class sampled counts of trials ``first .. first + trials - 1``
+    of uniform sampling.
 
     The population is the concatenation of class blocks sized by
-    ``counts``; trial ``t`` runs on the substream ``derive_seed(seed, t)``.
+    ``counts``; trial ``t`` runs on the substream ``derive_seed(seed, t)``,
+    so a run of trials split into blocks gives the rows of one call.
     Exchangeability makes the block layout statistically identical to any
     record ordering for uniform draws.  A position's class is found by
     bisecting the cumulative block ends, so memory follows the class and
@@ -153,8 +164,8 @@ def class_count_trials(
     else:
         draw = min(draw, population)
     rows = []
-    for trial in range(trials):
-        randbelow = Rng(derive_seed(seed, trial)).randbelow
+    for trial in range(first, first + trials):
+        randbelow = Rng(derive_seed(seed, trial))._below
         row = [0] * len(ends)
         if with_replacement:
             for _ in range(draw):

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import codecs
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pktsample.cli import main, parse_run_matrix
-from pktsample.samplers import SampleSpec
+from pktsample.samplers import FAMILIES, SampleSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,16 +181,8 @@ SMALL_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
-def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
-    """CLI commands work on the label column alone: constructing a
-    PacketRecord anywhere on their path fails the command."""
-    import pktsample.dataset
-
-    def no_records(*args, **kwargs):
-        raise AssertionError("a CLI path built a PacketRecord")
-
-    monkeypatch.setattr(pktsample.dataset, "PacketRecord", no_records)
+def _run_every_command(name: str, tmp_path: Path) -> None:
+    """analyze, sample (every family), compare and oracle on a small input."""
     data = tmp_path / name
     data.write_text(SMALL_INPUTS[name], encoding="utf-8")
     runs = tmp_path / "runs.txt"
@@ -200,6 +199,33 @@ def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
         assert main(["sample", *common, "--family", *flags]) == 0
     assert main(["compare", *common, "--runs", str(runs)]) == 0
     assert main(["oracle", *common, "--n", "1,3", "--trials", "2"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
+    """CLI commands work on the label column alone: constructing a
+    PacketRecord anywhere on their path fails the command."""
+    import pktsample.dataset
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a CLI path built a PacketRecord")
+
+    monkeypatch.setattr(pktsample.dataset, "PacketRecord", no_records)
+    _run_every_command(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+def test_commands_parse_no_attributes(name, tmp_path, monkeypatch, capsys):
+    """CLI commands never parse a record's attributes: the per-row parser
+    and the line offsets it needs fail the command if called."""
+    from pktsample.dataset import _SourceRows
+
+    def no_attributes(*args, **kwargs):
+        raise AssertionError("a CLI path parsed record attributes")
+
+    monkeypatch.setattr(_SourceRows, "__getitem__", no_attributes)
+    monkeypatch.setattr(_SourceRows, "_line_starts", no_attributes)
+    _run_every_command(name, tmp_path)
 
 
 # --- sample ------------------------------------------------------------------
@@ -539,6 +565,157 @@ def test_oracle_bad_n_exits_2(pu_csv, capsys):
     assert main(["oracle", "--input", str(pu_csv), "--n", "0"]) == 2
     assert main(["oracle", "--input", str(pu_csv), "--n", "40000"]) == 2
     assert main(["oracle", "--input", str(pu_csv), "--n", "500,400"]) == 2
+
+
+# --- malformed inputs and flags ------------------------------------------------
+
+LONG_FIELD = "x" * 131073  # one past the csv module's default field limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("long.csv", f"No.,Protocol,Info\n1,TCP,a\n2,TCP,{LONG_FIELD}\n",
+         "row 2 (line 3): field larger than field limit (131072)"),
+        ("long_header.csv", f"Protocol,{LONG_FIELD}\nTCP,a\n",
+         "header (line 1): field larger than field limit (131072)"),
+        ("deep.ndjson", '{"Protocol": "TCP"}\n\n{"Protocol": ' + DEEP_JSON + "}\n",
+         "line 3: invalid JSON (nested too deeply)"),
+        ("digits.ndjson", '{"Protocol": "TCP", "n": ' + "9" * 5000 + "}\n",
+         "line 1: invalid JSON (number has too many digits)"),
+        ("surrogate.ndjson", '{"Protocol": "TCP"}\n{"Protocol": "A\\ud800"}\n',
+         "line 2: label is not valid Unicode (lone surrogate)"),
+    ],
+)
+def test_input_limits_exit_1_with_one_line(name, text, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pktsample: error: {message}\n"
+
+
+SAFE_FIELD = st.text(alphabet='abTCP é,"', max_size=5)
+GOOD_LABEL = st.sampled_from(["TCP", "ARP", "UDP", " DNS "])
+
+
+@st.composite
+def bad_csv(draw):
+    """A CSV input with at least one defect in it."""
+    defect = draw(st.sampled_from(
+        ["ragged", "blank label", "no label column", "long field", "empty"]
+    ))
+    header = ["No.", "Protocol", "Info"]
+    rows = [[str(i), draw(GOOD_LABEL), draw(SAFE_FIELD)]
+            for i in range(draw(st.integers(1, 4)))]
+    bad = draw(st.integers(0, len(rows) - 1))
+    if defect == "ragged":
+        width = draw(st.sampled_from([1, 2, 4, 5]))
+        rows[bad] = (rows[bad] + [draw(SAFE_FIELD)] * 2)[:width]
+    elif defect == "blank label":
+        rows[bad][1] = draw(st.sampled_from(["", " ", "\t"]))
+    elif defect == "no label column":
+        header[1] = "proto"
+    elif defect == "long field":
+        rows[bad][2] = LONG_FIELD
+    else:
+        rows = []
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return "in.csv", out.getvalue()
+
+
+@st.composite
+def bad_ndjson(draw):
+    """An NDJSON input with at least one defect in it."""
+    lines = [json.dumps({"No.": i, "Protocol": draw(GOOD_LABEL)})
+             for i in range(draw(st.integers(0, 3)))]
+    defect = draw(st.sampled_from([
+        "not-json", "{", '{"Protocol": }', "[1]", "3", '"TCP"', "null",
+        '{"proto": "TCP"}', '{"Protocol": "  "}', '{"Protocol": ' + DEEP_JSON + "}",
+        '{"Protocol": 1' + "0" * 5000 + "}", '{"Protocol": "\\udc80"}',
+    ]))
+    lines.insert(draw(st.integers(0, len(lines))), defect)
+    return "in.ndjson", "\n".join(lines) + "\n"
+
+
+@st.composite
+def bad_input(draw):
+    """Bytes of a defective input, with line endings, a BOM and bytes that
+    are not UTF-8 mixed in."""
+    name, text = draw(bad_csv() | bad_ndjson())
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    data = text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    return name, data
+
+
+SIZES = st.integers(-3, 40).map(str)
+
+
+@st.composite
+def command_flags(draw):
+    """A command and flags, some of them out of range or malformed."""
+    command = draw(st.sampled_from(["analyze", "sample", "compare", "oracle"]))
+    flags = []
+    if command == "sample":
+        flags += ["--family", draw(st.sampled_from([*FAMILIES, "bogus"]))]
+        for flag in draw(st.lists(st.sampled_from(["--n", "--interval", "--k"]),
+                                  max_size=2, unique=True)):
+            flags += [flag, draw(SIZES)]
+        if draw(st.booleans()):
+            flags.append("--with-replacement")
+    elif command == "compare":
+        flags += ["--runs", draw(st.sampled_from([
+            "random n=5\nstratified interval=2\n", "random n=x\n", "bogus n=1\n",
+            "random n=1 n=2\n", "# nothing\n", "systematic k=3\n",
+        ]))]
+    elif command == "oracle":
+        flags += ["--n", draw(st.sampled_from(["1,3", "3,1", "0", "x", "", "2"]))]
+        flags += ["--trials", draw(st.integers(-2, 3).map(str))]
+        if draw(st.booleans()):
+            flags.append("--with-replacement")
+    if command != "oracle" and draw(st.booleans()):
+        flags += ["--decimals", draw(st.integers(-2, 6).map(str))]
+    if command != "analyze" and draw(st.booleans()):
+        flags += ["--seed", draw(st.integers(-(2**70), 2**70).map(str))]
+    return command, flags
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=bad_input(), command=command_flags())
+def test_bad_inputs_and_flags_fail_with_one_error_line(source, command):
+    """No defective input, with any flags, ends in a traceback: the exit
+    code is 1 or 2 and stderr holds exactly one ``pktsample: error:`` line
+    (after argparse's usage lines for a usage error)."""
+    (name, data), (command, flags) = source, command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        if "--runs" in flags:
+            at = flags.index("--runs") + 1
+            runs = Path(tmp) / "runs.txt"
+            runs.write_text(flags[at], encoding="utf-8")
+            flags[at] = str(runs)
+        argv = [command, "--input", str(path), *flags, "--out", str(Path(tmp) / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    stderr = err.getvalue()
+    errors = [line for line in stderr.splitlines() if line.startswith("pktsample: error:")]
+    assert code in (1, 2)
+    assert len(errors) == 1 and stderr.endswith(errors[0] + "\n")
+    assert "Traceback" not in stderr
+    assert out.getvalue() == ""
 
 
 # --- process-level checks ---------------------------------------------------------

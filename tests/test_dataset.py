@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -348,3 +349,121 @@ def test_histogram_spec_errors(text):
 
 def test_bundled_spec_loads_fresh_each_call():
     assert pu_tds_histogram() == pu_tds_histogram()
+
+
+# --- source-backed attributes ------------------------------------------------
+
+FIELD_TEXT = st.text(alphabet='ab é,"\r\n\x85 ', max_size=6)
+CSV_LABEL = st.text(alphabet="TCPUDvé6 ", min_size=1, max_size=4).filter(str.strip)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _csv_field(value: str, quote: bool) -> str:
+    if quote or any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def csv_sources(draw):
+    """CSV text with quoted fields holding line breaks and ``""`` escapes,
+    blank lines between rows and mixed line endings; the label column's
+    name and its index."""
+    width = draw(st.integers(1, 4))
+    label_index = draw(st.integers(0, width - 1))
+    header = [f"k{i}" for i in range(width)]
+    header[label_index] = "proto"
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(FIELD_TEXT, min_size=width, max_size=width))
+        row[label_index] = draw(CSV_LABEL)
+        rows.append(row)
+    text = ""
+    for row in [header] + rows:
+        text += draw(st.lists(LINE_ENDS, max_size=2).map("".join)) if text else ""
+        text += ",".join(_csv_field(value, draw(st.booleans())) for value in row)
+        text += draw(LINE_ENDS)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, "proto"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | FIELD_TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from("xyz"), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def ndjson_sources(draw):
+    """NDJSON text with blank lines, mixed line endings and varying keys."""
+    text = ""
+    for _ in range(draw(st.integers(1, 6))):
+        obj = draw(st.dictionaries(st.sampled_from(["a", "b", "é"]), JSON_VALUES, max_size=3))
+        obj["p"] = draw(CSV_LABEL | st.integers(-5, 5))
+        if draw(st.booleans()):
+            obj = dict(reversed(list(obj.items())))
+        text += draw(st.sampled_from(["", " \t", "\n"]))
+        text += json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        text += draw(LINE_ENDS)
+    return text, "p"
+
+
+def _outcome(call):
+    """``call()``'s result with columns as lists, or ValueError if it raised one."""
+    try:
+        result = call()
+    except ValueError:
+        return ValueError
+    if isinstance(result, tuple):
+        keys, columns = result
+        return keys, [list(column) for column in columns]
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.one_of(
+        st.tuples(csv_sources(), st.just("csv")),
+        st.tuples(ndjson_sources(), st.just("ndjson")),
+    ),
+    as_text=st.booleans(),
+    bom=st.booleans(),
+)
+def test_source_backed_attributes_match_eager_parse(source, as_text, bom):
+    """``records``, ``attribute_columns()`` and ``dataset_to_csv`` of a
+    parsed dataset equal what the eager reference parse gives, for byte
+    streams (a BOM skipped) and text streams alike."""
+    (text, label_column), format = source
+    if as_text:
+        stream = io.StringIO(text, newline="")
+    else:
+        stream = io.BytesIO(codecs.BOM_UTF8 * bom + text.encode())
+    dataset = parse_records(stream, format=format, label_column=label_column)
+    expected = _eager_records(text, format, label_column)
+    reference = TraceDataset(records=expected)
+    assert dataset.labels == reference.labels
+    assert dataset.records == expected
+    assert _outcome(dataset.attribute_columns) == _outcome(reference.attribute_columns)
+    assert _outcome(lambda: dataset_to_csv(dataset)) == _outcome(
+        lambda: dataset_to_csv(reference)
+    )
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_source_backed_attributes_across_decoding_chunks(ending):
+    """Line offsets agree with the text layer's lines when line breaks and
+    multi-byte characters fall on its decoding-chunk boundaries."""
+    rows = [f'{i},TCP,"é{"x" * (i % 97)}{ending}{i}"' for i in range(3000)]
+    text = ending.join(["No.,Protocol,Info", *rows]) + ending
+    dataset = parse_records(io.BytesIO(text.encode()), format="csv")
+    assert dataset.records == _eager_records(text, "csv", "Protocol")
+
+
+def test_synthesized_dataset_has_no_attribute_columns():
+    dataset = synthesize(ClassHistogram.from_counts([("A", 2), ("B", 1)]), seed=0)
+    assert dataset.attribute_columns() == ((), ())
+    assert all(record.attributes == () for record in dataset.records)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from pktsample import kernels
 from pktsample.kernels import pure
+from tests.conftest import PU_TDS_COUNTS
 
 try:
     from pktsample.kernels import _native
@@ -90,6 +93,16 @@ def test_randbelow_roughly_uniform():
         counts[rng.randbelow(5)] += 1
     for c in counts:
         assert abs(c - 10000) < 400  # ~4.5 sigma
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize("bound", [0, -1, -(2**64), 2**64, 2**70])
+def test_randbelow_bound_outside_1_to_2_64_rejected(impl, bound):
+    rng = impl.Rng(5)
+    with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\)"):
+        rng.randbelow(bound)
+    assert rng.next_u64() == impl.Rng(5).next_u64()
+    assert 0 <= rng.randbelow(2**64 - 1) < 2**64 - 1
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
@@ -188,6 +201,47 @@ def test_trials_clamp_draw_to_population():
 def test_trial_reductions_without_trials():
     assert kernels.missing_class_trials([2, 3], 1, 0, 0) == []
     assert kernels.class_total_trials([2, 3], 1, 0, 0) == [0, 0]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_blocked_trial_reductions_equal_one_call(impl, with_replacement, monkeypatch):
+    """Trials run in blocks from a first-trial index give the rows and the
+    reductions of one unblocked call."""
+    counts = [346, 3235, 24, 1, 90]
+    rows = impl.class_count_trials(counts, 40, 23, 5, with_replacement)
+    assert impl.class_count_trials(counts, 40, 9, 5, with_replacement, 7) == rows[7:16]
+    assert impl.class_count_trials(counts, 40, 2, 5, with_replacement, 2**64 + 3) == rows[3:5]
+    monkeypatch.setattr(kernels, "_impl", impl)
+    monkeypatch.setattr(kernels, "_TRIAL_BLOCK", 5)
+    assert kernels.missing_class_trials(counts, 40, 23, 5, with_replacement) == [
+        row.count(0) for row in rows
+    ]
+    assert kernels.class_total_trials(counts, 40, 23, 5, with_replacement) == [
+        sum(column) for column in zip(*rows)
+    ]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_trial_reduction_memory_does_not_grow_with_trials(impl, monkeypatch):
+    """The reductions hold one block of per-class rows at a time: from 2 to
+    8 blocks of trials, the traced peak grows by no more than the returned
+    list (twice its size, as a growing list may be copied)."""
+    monkeypatch.setattr(kernels, "_impl", impl)
+    counts = [count for _, count in PU_TDS_COUNTS]
+
+    def peak_and_size(reduce, trials):
+        tracemalloc.start()
+        try:
+            result = reduce(counts, 2, trials, 0)
+            return tracemalloc.get_traced_memory()[1], sys.getsizeof(result)
+        finally:
+            tracemalloc.stop()
+
+    for reduce in (kernels.missing_class_trials, kernels.class_total_trials):
+        small, _ = peak_and_size(reduce, 2 * kernels._TRIAL_BLOCK)
+        large, size = peak_and_size(reduce, 8 * kernels._TRIAL_BLOCK)
+        assert large - small < 2 * size + 64 * 1024
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
@@ -310,6 +364,16 @@ class TestBackendEquivalenceProperty:
             assert _outcome(getattr(pure, name), population, count, seed) == _outcome(
                 getattr(_native, name), population, count, seed
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(bound=st.integers(-(2**70), 2**70) | st.integers(2**64 - 2, 2**64 + 1),
+           seed=SEEDS)
+    def test_randbelow(self, bound, seed):
+        def draws(impl):
+            rng = impl.Rng(seed)
+            return [rng.randbelow(bound) for _ in range(8)]
+
+        assert _outcome(draws, pure) == _outcome(draws, _native)
 
     @settings(max_examples=100, deadline=None)
     @given(count=st.integers(0, 300), seed=SEEDS)
