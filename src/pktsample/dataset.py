@@ -23,6 +23,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import IO
 
@@ -38,6 +39,8 @@ from pktsample.errors import (
 )
 
 DEFAULT_LABEL_COLUMN = "Protocol"
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
+_ROW_CHUNK = 256  # CSV rows parsed per step of a whole-input attribute pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,17 +57,16 @@ class PacketRecord:
 
 
 class _SourceRows:
-    """Passthrough attributes left in the input, parsed one record at a time.
+    """Passthrough attributes left in the input, parsed when asked for.
 
     ``source`` is the whole input as read (``bytes``, or ``str`` from a
     text stream), and ``ends[k]`` is the physical line on which record k
-    ends; ``ends[0]`` is the CSV header's last line (0 for NDJSON).  A CSV
-    record's text runs from the line after ``ends[k - 1]`` through
-    ``ends[k]``, so it may hold blank lines and quoted line breaks, and it
-    parses as it did in the whole file; an NDJSON record is its one line.
+    ends; ``ends[0]`` is the CSV header's last line (0 for NDJSON).
     ``keys`` are the CSV attribute keys (``None`` for NDJSON, whose keys
     vary by record) and ``label`` is the CSV label index or the NDJSON
-    label column.  Line offsets are found on first access.
+    label column.  CSV attributes are parsed for every record at once by
+    ``csv_columns()``; an NDJSON record's attributes are parsed from its
+    one line by indexing, with line offsets found on first access.
     """
 
     __slots__ = ("source", "ends", "keys", "label", "_starts")
@@ -85,7 +87,7 @@ class _SourceRows:
             breaks = re.finditer(r"\r\n?|\n", source)
             first = 0
         else:
-            breaks = re.finditer(rb"\r\n?|\n", source)
+            breaks = _LINE_BREAK.finditer(source)
             first = len(codecs.BOM_UTF8) if source.startswith(codecs.BOM_UTF8) else 0
         starts = array("q", [first])
         starts.extend(match.end() for match in breaks)
@@ -94,24 +96,34 @@ class _SourceRows:
         return starts
 
     def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
+        """The attributes of NDJSON record ``index``; none without keys."""
         if self.keys == ():
             return ()
         if self._starts is None:
             self._starts = self._line_starts()
-        last = self.ends[index + 1]
-        first = last if self.keys is None else self.ends[index] + 1
-        text = self.source[self._starts[first - 1] : self._starts[last]]
+        line = self.ends[index + 1]
+        text = self.source[self._starts[line - 1] : self._starts[line]]
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        if self.keys is None:
-            return tuple(
-                (key, _stringify(value))
-                for key, value in json.loads(text).items()
-                if key != self.label
-            )
-        row = next(filter(None, csv.reader(io.StringIO(text, newline=""))))
-        del row[self.label]
-        return tuple(zip(self.keys, row))
+        return tuple(
+            (key, _stringify(value))
+            for key, value in json.loads(text).items()
+            if key != self.label
+        )
+
+    def csv_columns(self) -> list[list[str]]:
+        """One value list per CSV attribute key, from one pass of
+        ``csv.reader`` over the source.  Rows are taken a few hundred at a
+        time, so the collector never tracks one list per record."""
+        reader = csv.reader(_text(self.source))
+        next(reader)
+        rows = filter(None, reader)
+        columns: list[list[str]] = [[] for _ in range(len(self.keys) + 1)]
+        for chunk in iter(lambda: list(islice(rows, _ROW_CHUNK)), []):
+            for column, values in zip(columns, zip(*chunk)):
+                column.extend(values)
+        del columns[self.label]
+        return columns
 
 
 class TraceDataset:
@@ -155,6 +167,11 @@ class TraceDataset:
     def records(self) -> tuple[PacketRecord, ...]:
         """One ``PacketRecord`` per record, built on first access."""
         attributes = self._attributes
+        if isinstance(attributes, _SourceRows) and attributes.keys:
+            keys = attributes.keys
+            attributes = [
+                tuple(zip(keys, values)) for values in zip(*attributes.csv_columns())
+            ]
         return tuple(
             PacketRecord(position=i, label=label, attributes=attributes[i - 1])
             for i, label in enumerate(self.labels, start=1)
@@ -179,9 +196,12 @@ class TraceDataset:
 
         Raises ``ValueError`` when records carry differing key layouts.
         """
-        if isinstance(self._attributes, _SourceRows) and self._attributes.keys == ():
-            return (), ()
-        rows = [self._attributes[i] for i in range(self.population)]
+        attributes = self._attributes
+        if isinstance(attributes, _SourceRows) and attributes.keys is not None:
+            if attributes.keys == ():
+                return (), ()
+            return attributes.keys, attributes.csv_columns()
+        rows = [attributes[i] for i in range(self.population)]
         keys = tuple(key for key, _ in rows[0]) if rows else ()
         if any(tuple(key for key, _ in row) != keys for row in rows):
             raise ValueError("records carry differing attribute layouts")
@@ -258,15 +278,46 @@ def _stringify(value: object) -> str:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
-def _undecodable(exc: UnicodeDecodeError, lines_read: int) -> InvalidUtf8:
-    """The error naming the line that holds the first non-UTF-8 byte.
-
-    The text layer decodes a chunk only once it has handed out every
-    complete line before it, so that line is ``lines_read`` plus the
-    line breaks that precede the bad byte in the chunk.
-    """
-    line = lines_read + exc.object.count(b"\n", 0, exc.start) + 1
+def _undecodable(source: bytes) -> InvalidUtf8:
+    r"""The error naming the line that holds the first non-UTF-8 byte of
+    ``source``: one more than the ``\r\n``, ``\r`` and ``\n`` breaks
+    before it."""
+    start = len(source)
+    try:
+        source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    line = sum(1 for _ in _LINE_BREAK.finditer(source, 0, start)) + 1
     return InvalidUtf8(f"line {line}: input is not valid UTF-8")
+
+
+def _scanned(scan, source: bytes | str, decode, *args):
+    """The labels and end lines that a native label scanner reads from
+    ``source``, or ``None`` where there is no scanner, the source is text
+    or the scanner hands the input back to the Python parser.
+
+    Each distinct raw token is decoded and stripped once; a blank label
+    or one no report can write as UTF-8 also goes back to the Python
+    parser, which raises its error.
+    """
+    if scan is None or not isinstance(source, bytes):
+        return None
+    scanned = scan(source, *args)
+    if scanned is None:
+        return None
+    codes, tokens, ends = scanned
+    shared: dict[str, str] = {}
+    table = []
+    for token, _ in tokens:
+        try:
+            label = decode(token).strip()
+            label.encode("utf-8")
+        except ValueError:  # a JSON escape of a lone surrogate
+            return None
+        if not label:
+            return None
+        table.append(shared.setdefault(label, label))
+    return tuple(map(table.__getitem__, codes)), ends
 
 
 def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
@@ -275,8 +326,8 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
         header = next(reader)
     except StopIteration:
         raise EmptyDataset("input has no header row") from None
-    except UnicodeDecodeError as exc:
-        raise _undecodable(exc, reader.line_num) from None
+    except UnicodeDecodeError:
+        raise _undecodable(source) from None
     except csv.Error as exc:
         raise MalformedRow(f"header (line {reader.line_num}): {exc}") from None
     if label_column not in header:
@@ -286,6 +337,18 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
     label_index = header.index(label_column)
     width = len(header)
     keys = tuple(key for i, key in enumerate(header) if i != label_index)
+    labels, ends = _scanned(
+        kernels.scan_csv_labels, source, bytes.decode,
+        label_index, width, csv.field_size_limit(),
+    ) or _read_csv_labels(source, reader, label_index, width)
+    return TraceDataset._from_labels(
+        labels, _SourceRows(source, ends, keys, label_index)
+    )
+
+
+def _read_csv_labels(source, reader, label_index: int, width: int):
+    """The Python CSV parser: labels and end lines of the rows after the
+    header."""
     labels: list[str] = []
     ends = array("q", [reader.line_num])
     shared: dict[str, str] = {}
@@ -305,24 +368,31 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
                 )
             labels.append(shared.setdefault(label, label))
             ends.append(reader.line_num)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(exc, reader.line_num) from None
+    except UnicodeDecodeError:
+        raise _undecodable(source) from None
     except csv.Error as exc:
         raise MalformedRow(
             f"row {len(labels) + 1} (line {reader.line_num}): {exc}"
         ) from None
     if not labels:
         raise EmptyDataset("input has no data rows")
-    return TraceDataset._from_labels(
-        labels, _SourceRows(source, ends, keys, label_index)
-    )
+    return labels, ends
 
 
 def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
+    labels, ends = _scanned(
+        kernels.scan_ndjson_labels, source, json.loads, label_column
+    ) or _read_ndjson_labels(source, text, label_column)
+    return TraceDataset._from_labels(
+        labels, _SourceRows(source, ends, None, label_column)
+    )
+
+
+def _read_ndjson_labels(source, text: IO[str], label_column: str):
+    """The Python NDJSON parser: labels and end lines."""
     labels: list[str] = []
     ends = array("q", [0])
     shared: dict[str, str] = {}
-    line_num = 0
     try:
         for line_num, line in enumerate(text, start=1):
             if not line.strip():
@@ -355,13 +425,11 @@ def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> Trac
                 shared[label] = label
             labels.append(shared[label])
             ends.append(line_num)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(exc, line_num) from None
+    except UnicodeDecodeError:
+        raise _undecodable(source) from None
     if not labels:
         raise EmptyDataset("input has no data rows")
-    return TraceDataset._from_labels(
-        labels, _SourceRows(source, ends, None, label_column)
-    )
+    return labels, ends
 
 
 def _check_encodable(label: str, line_num: int) -> None:
@@ -392,13 +460,16 @@ def parse_records(
     if format not in ("csv", "ndjson"):
         raise ValueError(f"unknown format {format!r} (use 'csv' or 'ndjson')")
     source = stream.read()
-    text: IO[str]
-    if isinstance(source, str):
-        text = io.StringIO(source, newline="")
-    else:
-        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
     parse = _parse_csv if format == "csv" else _parse_ndjson
-    return parse(source, text, label_column)
+    return parse(source, _text(source), label_column)
+
+
+def _text(source: bytes | str) -> IO[str]:
+    """The input as the parsers read it: UTF-8 with a leading BOM skipped,
+    line endings kept."""
+    if isinstance(source, str):
+        return io.StringIO(source, newline="")
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
 
 
 def load_dataset(

@@ -8,6 +8,9 @@
  * Population, count, draw and trials lie in [0, 2**63), else ValueError;
  * seeds and indices are any ints, taken modulo 2**64; an Rng bound lies
  * in [1, 2**64), else ValueError.
+ *
+ * It also holds the CSV and NDJSON label scanners, which have no pure
+ * twin: dataset.py's Python parser reads what they hand back.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -399,6 +402,651 @@ done:
     return rows;
 }
 
+/* --- label scanners ------------------------------------------------------- */
+
+/* scan_csv_labels and scan_ndjson_labels read a whole CSV or NDJSON input
+ * once, checking its UTF-8 on the way, and return (codes, tokens, ends):
+ *   codes   the class code of each record, an array of unsigned ints
+ *           ('B', 'H' or 'I', as the number of codes needs);
+ *   tokens  code k's raw label token as (bytes, first record), codes in
+ *           order of first appearance: the CSV field as the csv module
+ *           reads it, or the JSON string literal, quotes included;
+ *   ends    array('q'): ends[0] is the line on which the CSV header ends
+ *           (0 for NDJSON) and ends[k] the line on which record k ends.
+ * Lines end at \r\n, \r or \n, as in TextIOWrapper(newline=""), and a
+ * UTF-8 BOM is skipped at offset 0.  A scanner returns None for every
+ * input it cannot be sure to read as dataset.py's Python parser does,
+ * every error among them; that parser, the reference, then reads it. */
+
+#define JSON_MAX_DEPTH 64
+/* Past this many digits an int may exceed sys.get_int_max_str_digits()
+ * (640 is the smallest limit it may be set to), so int() may raise. */
+#define JSON_MAX_INT_DIGITS 640
+
+typedef struct {
+    uint64_t hash;
+    const char *bytes; /* the data of the token's bytes object in ``tokens`` */
+    Py_ssize_t length;
+} Token;
+
+typedef struct {
+    uint32_t *codes;     /* one per record */
+    int64_t *ends;       /* ends[0], then one per record */
+    Py_ssize_t records, capacity;
+    PyObject *tokens;    /* list of (bytes, first record) */
+    Token *table;        /* code -> token */
+    Py_ssize_t distinct;
+    uint32_t *slots;     /* open addressing: code + 1, or 0 when empty */
+    size_t mask;
+    char *scratch;       /* a quoted CSV label with its "" unescaped */
+    Py_ssize_t scratch_size;
+} Scan;
+
+static void scan_free(Scan *scan)
+{
+    PyMem_Free(scan->codes);
+    PyMem_Free(scan->ends);
+    Py_XDECREF(scan->tokens);
+    PyMem_Free(scan->table);
+    PyMem_Free(scan->slots);
+    PyMem_Free(scan->scratch);
+}
+
+static int scan_init(Scan *scan)
+{
+    memset(scan, 0, sizeof(*scan));
+    scan->capacity = 1024;
+    scan->mask = 63;
+    scan->codes = PyMem_Malloc(scan->capacity * sizeof(uint32_t));
+    scan->ends = PyMem_Malloc((scan->capacity + 1) * sizeof(int64_t));
+    scan->table = PyMem_Malloc((scan->mask + 1) / 2 * sizeof(Token));
+    scan->slots = PyMem_Calloc(scan->mask + 1, sizeof(uint32_t));
+    scan->tokens = PyList_New(0);
+    if (scan->tokens == NULL)
+        return -1;
+    if (scan->codes == NULL || scan->ends == NULL || scan->table == NULL
+        || scan->slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    scan->ends[0] = 0;
+    return 0;
+}
+
+static uint64_t token_hash(const char *bytes, Py_ssize_t length)
+{
+    uint64_t hash = UINT64_C(0xCBF29CE484222325); /* FNV-1a */
+    Py_ssize_t i;
+    for (i = 0; i < length; i++)
+        hash = (hash ^ (unsigned char)bytes[i]) * UINT64_C(0x100000001B3);
+    return mix64(hash);
+}
+
+/* Twice the slots, for ``table``'s codes to fill at most half of them. */
+static int scan_grow_table(Scan *scan)
+{
+    size_t size = 2 * (scan->mask + 1), k;
+    Py_ssize_t code;
+    uint32_t *slots;
+    Token *table;
+    if (size > PY_SSIZE_T_MAX / sizeof(Token)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    slots = PyMem_Calloc(size, sizeof(uint32_t));
+    table = slots == NULL ? NULL : PyMem_Realloc(scan->table, size / 2 * sizeof(Token));
+    if (table == NULL) {
+        PyMem_Free(slots);
+        PyErr_NoMemory();
+        return -1;
+    }
+    scan->table = table;
+    PyMem_Free(scan->slots);
+    scan->slots = slots;
+    scan->mask = size - 1;
+    for (code = 0; code < scan->distinct; code++) {
+        k = (size_t)table[code].hash & scan->mask;
+        while (slots[k] != 0)
+            k = (k + 1) & scan->mask;
+        slots[k] = (uint32_t)code + 1;
+    }
+    return 0;
+}
+
+/* Records one more record: its label token and the line it ends on.
+ * 1 when done, 0 to hand the input over (codes past uint32), -1 on error. */
+static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length, int64_t line)
+{
+    uint64_t hash = token_hash(bytes, length);
+    size_t k = (size_t)hash & scan->mask;
+    uint32_t slot;
+    Token *token;
+    PyObject *entry;
+    while ((slot = scan->slots[k]) != 0) {
+        token = &scan->table[slot - 1];
+        if (token->hash == hash && token->length == length
+            && memcmp(token->bytes, bytes, (size_t)length) == 0)
+            break;
+        k = (k + 1) & scan->mask;
+    }
+    if (slot == 0) {
+        if (scan->distinct == UINT32_MAX - 1)
+            return 0;
+        if ((size_t)scan->distinct + 1 > (scan->mask + 1) / 2) {
+            if (scan_grow_table(scan) < 0)
+                return -1;
+            k = (size_t)hash & scan->mask;
+            while (scan->slots[k] != 0)
+                k = (k + 1) & scan->mask;
+        }
+        entry = Py_BuildValue("(y#n)", bytes, length, scan->records);
+        if (entry == NULL || PyList_Append(scan->tokens, entry) < 0) {
+            Py_XDECREF(entry);
+            return -1;
+        }
+        Py_DECREF(entry);
+        token = &scan->table[scan->distinct];
+        token->hash = hash;
+        token->bytes = PyBytes_AS_STRING(PyTuple_GET_ITEM(entry, 0));
+        token->length = length;
+        slot = scan->slots[k] = (uint32_t)++scan->distinct;
+    }
+    if (scan->records == scan->capacity) {
+        uint32_t *codes;
+        int64_t *ends;
+        Py_ssize_t capacity = 2 * scan->capacity;
+        if (capacity > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int64_t) - 1) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        codes = PyMem_Realloc(scan->codes, capacity * sizeof(uint32_t));
+        if (codes != NULL)
+            scan->codes = codes;
+        ends = codes == NULL
+                   ? NULL
+                   : PyMem_Realloc(scan->ends, (capacity + 1) * sizeof(int64_t));
+        if (ends == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        scan->ends = ends;
+        scan->capacity = capacity;
+    }
+    scan->codes[scan->records++] = slot - 1;
+    scan->ends[scan->records] = line;
+    return 1;
+}
+
+/* array(typecode) holding ``size`` bytes of ``data``. */
+static PyObject *new_array(const char *typecode, const void *data, Py_ssize_t size)
+{
+    PyObject *module = PyImport_ImportModule("array"), *array, *view, *done = NULL;
+    if (module == NULL)
+        return NULL;
+    array = PyObject_CallMethod(module, "array", "s", typecode);
+    Py_DECREF(module);
+    view = array == NULL ? NULL : PyMemoryView_FromMemory((char *)data, size, PyBUF_READ);
+    if (view != NULL)
+        done = PyObject_CallMethod(array, "frombytes", "O", view);
+    Py_XDECREF(view);
+    if (done == NULL)
+        Py_CLEAR(array);
+    Py_XDECREF(done);
+    return array;
+}
+
+/* The scanner's (codes, tokens, ends), each code in the fewest bytes. */
+static PyObject *scan_result(Scan *scan)
+{
+    Py_ssize_t itemsize = scan->distinct <= 0x100 ? 1 : scan->distinct <= 0x10000 ? 2 : 4;
+    const char *typecode = itemsize == 1 ? "B" : itemsize == 2 ? "H" : "I";
+    void *narrow = itemsize == 4 ? (void *)scan->codes
+                                 : PyMem_Malloc(scan->records * itemsize);
+    Py_ssize_t i;
+    PyObject *codes = NULL, *ends = NULL, *result = NULL;
+    if (narrow == NULL)
+        return PyErr_NoMemory();
+    for (i = 0; itemsize < 4 && i < scan->records; i++) {
+        if (itemsize == 1)
+            ((uint8_t *)narrow)[i] = (uint8_t)scan->codes[i];
+        else
+            ((uint16_t *)narrow)[i] = (uint16_t)scan->codes[i];
+    }
+    codes = new_array(typecode, narrow, scan->records * itemsize);
+    if (narrow != scan->codes)
+        PyMem_Free(narrow);
+    ends = codes == NULL
+               ? NULL
+               : new_array("q", scan->ends, (scan->records + 1) * sizeof(int64_t));
+    if (ends != NULL)
+        result = PyTuple_Pack(3, codes, scan->tokens, ends);
+    Py_XDECREF(codes);
+    Py_XDECREF(ends);
+    return result;
+}
+
+/* Length of the UTF-8 sequence whose lead byte (>= 0x80) is at p, or 0
+ * where Python's strict decoder fails: a stray or truncated sequence, an
+ * overlong form, an encoded surrogate (ED A0..BF) or a code point past
+ * U+10FFFF. */
+static Py_ssize_t utf8_sequence(const unsigned char *p, const unsigned char *end)
+{
+    unsigned char lo = 0x80, hi = 0xBF;
+    Py_ssize_t length, k;
+    if (p[0] >= 0xC2 && p[0] <= 0xDF)
+        length = 2;
+    else if (p[0] >= 0xE0 && p[0] <= 0xEF) {
+        length = 3;
+        lo = p[0] == 0xE0 ? 0xA0 : 0x80;
+        hi = p[0] == 0xED ? 0x9F : 0xBF;
+    } else if (p[0] >= 0xF0 && p[0] <= 0xF4) {
+        length = 4;
+        lo = p[0] == 0xF0 ? 0x90 : 0x80;
+        hi = p[0] == 0xF4 ? 0x8F : 0xBF;
+    } else
+        return 0;
+    if (end - p < length || p[1] < lo || p[1] > hi)
+        return 0;
+    for (k = 2; k < length; k++)
+        if (p[k] < 0x80 || p[k] > 0xBF)
+            return 0;
+    return length;
+}
+
+/* Bytes that need no look in a CSV field (any ASCII but NUL, ',', '"',
+ * '\r' and '\n') and in a JSON string (printable ASCII but '"' and '\\');
+ * filled once by PyInit__native. */
+static unsigned char csv_plain[256], json_plain[256];
+
+static void fill_plain_tables(void)
+{
+    int c;
+    for (c = 1; c < 0x80; c++) {
+        csv_plain[c] = c != ',' && c != '"' && c != '\r' && c != '\n';
+        json_plain[c] = c >= 0x20 && c != '"' && c != '\\';
+    }
+}
+
+static const unsigned char *skip_bom(const unsigned char *p, const unsigned char *end)
+{
+    return end - p >= 3 && memcmp(p, "\xEF\xBB\xBF", 3) == 0 ? p + 3 : p;
+}
+
+/* Past the line break at p: \r\n, \r or \n. */
+static const unsigned char *skip_break(const unsigned char *p, const unsigned char *end)
+{
+    return p + (*p == '\r' && p + 1 < end && p[1] == '\n' ? 2 : 1);
+}
+
+/* The csv module's default dialect: ',' between fields, '"' quotes and
+ * "" inside quotes for one quote.  Hands over on a NUL, a '"' in an
+ * unquoted field, text after a closing quote, a quote left open, a field
+ * of more than field_limit bytes (its characters may still fit), a row
+ * of other than ``width`` fields and no data rows.  The header is the
+ * first record; a line holding no bytes is no record.
+ * 1 when read, 0 to hand over, -1 on error. */
+static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end,
+                    Py_ssize_t label_index, Py_ssize_t width, Py_ssize_t field_limit)
+{
+    const unsigned char *field, *label = NULL;
+    Py_ssize_t fields, length, label_length = 0, n;
+    int64_t line = 1;
+    int quoted, escaped, label_escaped = 0, header = 1, pushed;
+    for (p = skip_bom(p, end); p < end; line++) {
+        if (*p == '\r' || *p == '\n') {
+            if (header)
+                return 0;
+            p = skip_break(p, end);
+            continue;
+        }
+        for (fields = 0;; fields++) {
+            quoted = p < end && *p == '"';
+            escaped = 0;
+            field = p + quoted;
+            for (p = field; p < end; ) {
+                if (csv_plain[*p])
+                    p++;
+                else if (*p == '"') {
+                    if (!quoted)
+                        return 0;
+                    if (p + 1 < end && p[1] == '"') {
+                        escaped = 1;
+                        p += 2;
+                        continue;
+                    }
+                    break;
+                } else if (*p == '\r' || *p == '\n') {
+                    if (!quoted)
+                        break;
+                    p = skip_break(p, end);
+                    line++;
+                } else if (*p == ',') {
+                    if (!quoted)
+                        break;
+                    p++;
+                } else if (*p == 0)
+                    return 0;
+                else if ((n = utf8_sequence(p, end)) > 0)
+                    p += n;
+                else
+                    return 0;
+            }
+            length = p - field;
+            if (quoted && p++ == end)
+                return 0;
+            if (length > field_limit)
+                return 0;
+            if (fields == label_index) {
+                label = field;
+                label_length = length;
+                label_escaped = escaped;
+            }
+            if (p == end || *p != ',')
+                break;
+            p++;
+        }
+        if (p < end) {
+            if (*p != '\r' && *p != '\n')
+                return 0;
+            p = skip_break(p, end);
+        }
+        if (header) {
+            scan->ends[0] = line;
+            header = 0;
+            continue;
+        }
+        if (fields + 1 != width)
+            return 0;
+        if (label_escaped) {
+            Py_ssize_t i, j;
+            if (label_length > scan->scratch_size) {
+                char *scratch = PyMem_Realloc(scan->scratch, label_length);
+                if (scratch == NULL) {
+                    PyErr_NoMemory();
+                    return -1;
+                }
+                scan->scratch = scratch;
+                scan->scratch_size = label_length;
+            }
+            for (i = j = 0; i < label_length; i++, j++) {
+                scan->scratch[j] = (char)label[i];
+                if (label[i] == '"')
+                    i++; /* the second quote of "" */
+            }
+            label = (const unsigned char *)scan->scratch;
+            label_length = j;
+        }
+        if ((pushed = scan_push(scan, (const char *)label, label_length, line)) <= 0)
+            return pushed;
+    }
+    return scan->records > 0;
+}
+
+static void json_space(const unsigned char **p, const unsigned char *end)
+{
+    while (*p < end && (**p == ' ' || **p == '\t'))
+        (*p)++;
+}
+
+static int hex_digit(unsigned char c)
+{
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+/* The string whose opening quote is at *p, as json.loads reads it in
+ * strict mode; *escaped says whether it holds a backslash. */
+static int json_string(const unsigned char **p, const unsigned char *end, int *escaped)
+{
+    const unsigned char *q = *p + 1;
+    Py_ssize_t n;
+    *escaped = 0;
+    while (q < end && *q != '"') {
+        if (json_plain[*q])
+            q++;
+        else if (*q == '\\') {
+            *escaped = 1;
+            if (end - q >= 6 && q[1] == 'u' && hex_digit(q[2]) && hex_digit(q[3])
+                && hex_digit(q[4]) && hex_digit(q[5]))
+                q += 6;
+            else if (end - q >= 2 && q[1] != 0 && strchr("\"\\/bfnrt", q[1]) != NULL)
+                q += 2;
+            else
+                return 0;
+        } else if (*q < 0x20)
+            return 0;
+        else if ((n = utf8_sequence(q, end)) > 0)
+            q += n;
+        else
+            return 0;
+    }
+    if (q == end)
+        return 0;
+    *p = q + 1;
+    return 1;
+}
+
+static int json_digits(const unsigned char **p, const unsigned char *end)
+{
+    const unsigned char *first = *p;
+    while (*p < end && **p >= '0' && **p <= '9')
+        (*p)++;
+    return *p > first;
+}
+
+/* A number in the JSON grammar; NaN, Infinity and -Infinity hand over. */
+static int json_number(const unsigned char **p, const unsigned char *end)
+{
+    const unsigned char *digits;
+    if (*p < end && **p == '-')
+        (*p)++;
+    digits = *p;
+    if (*p < end && **p == '0')
+        (*p)++;
+    else if (!json_digits(p, end) || *p - digits > JSON_MAX_INT_DIGITS)
+        return 0;
+    if (*p < end && **p == '.') {
+        (*p)++;
+        if (!json_digits(p, end))
+            return 0;
+    }
+    if (*p < end && (**p == 'e' || **p == 'E')) {
+        (*p)++;
+        if (*p < end && (**p == '+' || **p == '-'))
+            (*p)++;
+        if (!json_digits(p, end))
+            return 0;
+    }
+    return 1;
+}
+
+static int json_literal(const unsigned char **p, const unsigned char *end,
+                        const char *word)
+{
+    size_t length = strlen(word);
+    if ((size_t)(end - *p) < length || memcmp(*p, word, length) != 0)
+        return 0;
+    *p += length;
+    return 1;
+}
+
+static int json_container(const unsigned char **p, const unsigned char *end, int depth,
+                          const char *key, Py_ssize_t key_length,
+                          const unsigned char **label, const unsigned char **label_end);
+
+static int json_value(const unsigned char **p, const unsigned char *end, int depth)
+{
+    int escaped;
+    if (*p == end)
+        return 0;
+    switch (**p) {
+    case '{':
+    case '[':
+        return json_container(p, end, depth + 1, NULL, 0, NULL, NULL);
+    case '"':
+        return json_string(p, end, &escaped);
+    case 't':
+        return json_literal(p, end, "true");
+    case 'f':
+        return json_literal(p, end, "false");
+    case 'n':
+        return json_literal(p, end, "null");
+    default:
+        return json_number(p, end);
+    }
+}
+
+/* The object or array at *p, which is ``depth`` levels deep.  With a key
+ * (the top-level object), *label..*label_end is the string literal of
+ * the last member so named, as json.loads keeps the last duplicate key.
+ * Hands over on a member of that name that is not a string, and on a
+ * member name holding an escape, which may decode to that name. */
+static int json_container(const unsigned char **p, const unsigned char *end, int depth,
+                          const char *key, Py_ssize_t key_length,
+                          const unsigned char **label, const unsigned char **label_end)
+{
+    const unsigned char *name;
+    unsigned char close = **p == '{' ? '}' : ']';
+    int escaped, labelled;
+    if (depth > JSON_MAX_DEPTH)
+        return 0;
+    (*p)++;
+    json_space(p, end);
+    if (*p < end && **p == close) {
+        (*p)++;
+        return 1;
+    }
+    for (;;) {
+        labelled = 0;
+        if (close == '}') {
+            name = *p;
+            if (*p == end || **p != '"' || !json_string(p, end, &escaped))
+                return 0;
+            if (key != NULL && escaped)
+                return 0;
+            labelled = key != NULL && *p - name - 2 == key_length
+                       && memcmp(name + 1, key, (size_t)key_length) == 0;
+            json_space(p, end);
+            if (*p == end || **p != ':')
+                return 0;
+            (*p)++;
+            json_space(p, end);
+        }
+        if (labelled) {
+            *label = *p;
+            if (*p == end || **p != '"' || !json_string(p, end, &escaped))
+                return 0;
+            *label_end = *p;
+        } else if (!json_value(p, end, depth))
+            return 0;
+        json_space(p, end);
+        if (*p == end || (**p != ',' && **p != close))
+            return 0;
+        if (*(*p)++ == close)
+            return 1;
+        json_space(p, end);
+    }
+}
+
+/* One JSON object per line; a line of spaces and tabs only is skipped.
+ * Hands over on any other line, on a line whose object lacks ``key``,
+ * on nesting past JSON_MAX_DEPTH, an int of more than
+ * JSON_MAX_INT_DIGITS digits and on no records.
+ * 1 when read, 0 to hand over, -1 on error. */
+static int ndjson_scan(Scan *scan, const unsigned char *p, const unsigned char *end,
+                       const char *key, Py_ssize_t key_length)
+{
+    const unsigned char *label, *label_end;
+    int64_t line = 0;
+    int pushed;
+    for (p = skip_bom(p, end); p < end; ) {
+        line++;
+        json_space(&p, end);
+        if (p < end && *p == '{') {
+            label = NULL;
+            if (!json_container(&p, end, 1, key, key_length, &label, &label_end)
+                || label == NULL)
+                return 0;
+            pushed = scan_push(scan, (const char *)label, label_end - label, line);
+            if (pushed <= 0)
+                return pushed;
+            json_space(&p, end);
+        }
+        if (p < end) {
+            if (*p != '\r' && *p != '\n')
+                return 0;
+            p = skip_break(p, end);
+        }
+    }
+    return scan->records > 0;
+}
+
+/* Runs a scanner's outcome into its result: None when it handed over. */
+static PyObject *scan_finish(Scan *scan, int outcome)
+{
+    PyObject *result = NULL;
+    if (outcome > 0)
+        result = scan_result(scan);
+    else if (outcome == 0)
+        result = Py_NewRef(Py_None);
+    scan_free(scan);
+    return result;
+}
+
+static PyObject *scan_csv_labels(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"buf", "label_index", "width", "field_limit", NULL};
+    Py_buffer buf;
+    Py_ssize_t label_index, width, field_limit;
+    Scan scan;
+    int outcome;
+    PyObject *result;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y*nnn:scan_csv_labels", kwlist,
+                                     &buf, &label_index, &width, &field_limit))
+        return NULL;
+    if (label_index < 0 || label_index >= width) {
+        PyBuffer_Release(&buf);
+        PyErr_SetString(PyExc_ValueError, "label_index must lie in [0, width)");
+        return NULL;
+    }
+    outcome = scan_init(&scan);
+    if (outcome == 0)
+        outcome = csv_scan(&scan, buf.buf, (const unsigned char *)buf.buf + buf.len,
+                           label_index, width, field_limit);
+    result = scan_finish(&scan, outcome);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
+static PyObject *scan_ndjson_labels(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"buf", "key", NULL};
+    Py_buffer buf;
+    PyObject *key_arg, *result;
+    const char *key;
+    Py_ssize_t key_length;
+    Scan scan;
+    int outcome;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y*U:scan_ndjson_labels", kwlist,
+                                     &buf, &key_arg))
+        return NULL;
+    key = PyUnicode_AsUTF8AndSize(key_arg, &key_length);
+    if (key == NULL) {
+        /* a lone surrogate, which only an escaped member name can match */
+        PyBuffer_Release(&buf);
+        if (!PyErr_ExceptionMatches(PyExc_UnicodeEncodeError))
+            return NULL;
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    outcome = scan_init(&scan);
+    if (outcome == 0)
+        outcome = ndjson_scan(&scan, buf.buf, (const unsigned char *)buf.buf + buf.len,
+                              key, key_length);
+    result = scan_finish(&scan, outcome);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
 #define KERNEL(name, doc) \
     {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, doc}
 
@@ -413,13 +1061,20 @@ static PyMethodDef module_methods[] = {
     KERNEL(class_count_trials,
            "Per-class sampled counts of trials ``first .. first + trials - 1`` "
            "of uniform sampling."),
+    KERNEL(scan_csv_labels,
+           "Class codes, distinct label tokens and end lines of a CSV input, "
+           "or None."),
+    KERNEL(scan_ndjson_labels,
+           "Class codes, distinct label tokens and end lines of an NDJSON input, "
+           "or None."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "pktsample.kernels._native",
-    .m_doc = "Compiled sampling kernels: bit-identical twin of pure.py.",
+    .m_doc = "Compiled sampling kernels, bit-identical twin of pure.py, "
+             "and label scanners.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -427,6 +1082,7 @@ static struct PyModuleDef native_module = {
 PyMODINIT_FUNC PyInit__native(void)
 {
     PyObject *module = PyModule_Create(&native_module);
+    fill_plain_tables();
     if (module != NULL && PyModule_AddType(module, &RngType) < 0)
         Py_CLEAR(module);
     return module;

@@ -216,8 +216,8 @@ def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
 def test_commands_parse_no_attributes(name, tmp_path, monkeypatch, capsys):
-    """CLI commands never parse a record's attributes: the per-row parser
-    and the line offsets it needs fail the command if called."""
+    """CLI commands never parse a record's attributes: the attribute
+    parsers and the line offsets they need fail the command if called."""
     from pktsample.dataset import _SourceRows
 
     def no_attributes(*args, **kwargs):
@@ -225,6 +225,7 @@ def test_commands_parse_no_attributes(name, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(_SourceRows, "__getitem__", no_attributes)
     monkeypatch.setattr(_SourceRows, "_line_starts", no_attributes)
+    monkeypatch.setattr(_SourceRows, "csv_columns", no_attributes)
     _run_every_command(name, tmp_path)
 
 

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pktsample import dataset as dataset_module
+from pktsample import kernels
 from pktsample.dataset import (
     ClassHistogram,
     PacketRecord,
@@ -29,10 +31,12 @@ from pktsample.errors import (
     InvalidUtf8,
     MalformedRow,
     MissingLabelColumn,
+    PktSampleError,
     ZeroTotal,
 )
 from pktsample.report import dataset_to_csv
 from tests.conftest import PU_TDS_COUNTS
+from tests.test_cli import bad_input
 
 WIRESHARK_CSV = (
     '"No.","Time","Source","Destination","Protocol","Length","Info"\n'
@@ -187,16 +191,23 @@ def test_parse_skips_byte_order_mark(data, format):
 
 
 @pytest.mark.parametrize("format", ["csv", "ndjson"])
-@pytest.mark.parametrize("bad_line", [1, 2, 7000])
-def test_parse_invalid_utf8_names_line(format, bad_line):
+@pytest.mark.parametrize(
+    "bad_line,ending",
+    [
+        pytest.param(bad_line, ending, id=f"{bad_line}{name}")
+        for bad_line in (1, 2, 7000)
+        for ending, name in ((b"\n", ""), (b"\r\n", "-crlf"), (b"\r", "-cr"))
+    ],
+)
+def test_parse_invalid_utf8_names_line(format, bad_line, ending):
     """The reported line is exact even when the bad byte lies many
-    decoding chunks into the input."""
+    decoding chunks into the input, whatever ends its lines."""
     if format == "csv":
         lines = [b"Protocol,Info"] + [b"TCP,%d" % i for i in range(1, 9000)]
     else:
         lines = [b'{"Protocol": "TCP", "Info": %d}' % i for i in range(1, 9000)]
     lines[bad_line - 1] = lines[bad_line - 1][:-1] + b"\xff"
-    data = b"\n".join(lines) + b"\n"
+    data = ending.join(lines) + ending
     with pytest.raises(InvalidUtf8, match=f"^line {bad_line}: input is not valid UTF-8$"):
         parse_records(io.BytesIO(data), format=format)
 
@@ -467,3 +478,169 @@ def test_synthesized_dataset_has_no_attribute_columns():
     dataset = synthesize(ClassHistogram.from_counts([("A", 2), ("B", 1)]), seed=0)
     assert dataset.attribute_columns() == ((), ())
     assert all(record.attributes == () for record in dataset.records)
+
+
+# --- native label scanners ---------------------------------------------------
+
+try:
+    from pktsample.kernels import _native
+except ImportError:  # the extension was not built
+    _native = None
+
+needs_native = pytest.mark.skipif(_native is None, reason="native kernels not built")
+
+
+def _parse_with(scanners, data: bytes, format: str, label_column: str):
+    """``parse_records``' labels and end lines, or its error's type and
+    message, with the native label scanners, or with the Python parser
+    alone when ``scanners`` is None."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("scan_csv_labels", "scan_ndjson_labels"):
+            patch.setattr(kernels, name, scanners and getattr(scanners, name))
+        try:
+            dataset = parse_records(io.BytesIO(data), format=format, label_column=label_column)
+        except PktSampleError as exc:
+            return type(exc), str(exc)
+    labels = dataset.labels
+    assert len({id(label) for label in labels}) == len(set(labels))  # one str per label
+    return labels, list(dataset._attributes.ends)
+
+
+@st.composite
+def scanner_inputs(draw):
+    """(bytes, format, label column): valid CSV and NDJSON with a BOM or
+    not, or a defective input from the CLI robustness property."""
+    kind = draw(st.sampled_from(["csv", "ndjson", "defective"]))
+    if kind == "defective":
+        name, data = draw(bad_input())
+        return data, name.rpartition(".")[2], "Protocol"
+    text, label_column = draw(csv_sources() if kind == "csv" else ndjson_sources())
+    return codecs.BOM_UTF8 * draw(st.booleans()) + text.encode(), kind, label_column
+
+
+@needs_native
+@settings(max_examples=300, deadline=None)
+@given(source=scanner_inputs())
+def test_scanners_match_python_parser(source):
+    """The native scanners give the Python parser's labels and end lines,
+    or its error, with the same message, on every input; valid CSV never
+    goes back to the Python parser."""
+    data, format, label_column = source
+    native = _parse_with(_native, data, format, label_column)
+    assert native == _parse_with(None, data, format, label_column)
+    if format == "csv" and label_column == "proto":
+        header = next(csv.reader(io.StringIO(data.decode("utf-8-sig"), newline="")))
+        limit = csv.field_size_limit()
+        assert _native.scan_csv_labels(data, header.index("proto"), len(header), limit)
+
+
+def _scan(data: bytes, format: str):
+    """What ``parse_records`` takes from the native scanner for a
+    ``No.,Protocol`` CSV or a ``Protocol``-labelled NDJSON input: labels
+    and end lines, or None where the Python parser reads it."""
+    if format == "csv":
+        return dataset_module._scanned(
+            _native.scan_csv_labels, data, bytes.decode, 1, 2, csv.field_size_limit()
+        )
+    return dataset_module._scanned(_native.scan_ndjson_labels, data, json.loads, "Protocol")
+
+
+HEADER = b"No.,Protocol\n"
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "format,data",
+    [
+        pytest.param("csv", HEADER + b"1,TCP\n2,TCP,x\n", id="ragged row"),
+        pytest.param("csv", HEADER + b"\n\r\n", id="no data rows"),
+        pytest.param("csv", HEADER + b"1, \n", id="blank label"),
+        pytest.param("csv", HEADER + b'1,"' + b"x" * 131073 + b'"\n',
+                     id="field over the field size limit"),
+        pytest.param("csv", HEADER + b"1,T\x00CP\n", id="NUL byte"),
+        pytest.param("csv", HEADER + b'1,T"CP\n', id="quote in unquoted field"),
+        pytest.param("csv", HEADER + b'1,"TCP"x\n', id="text after closing quote"),
+        pytest.param("csv", HEADER + b'1,"TCP\n', id="quote left open"),
+        pytest.param("csv", HEADER + b"1,TCP\n\xe9,TCP\n", id="invalid UTF-8"),
+        pytest.param("csv", HEADER + b"\xed\xa0\x80,TCP\n", id="encoded surrogate"),
+        pytest.param("csv", HEADER + b'"\xf4\x90\x80\x80",TCP\n', id="past U+10FFFF"),
+        pytest.param("csv", HEADER + b"\xe0\x9f\xbf,TCP\n", id="overlong form"),
+        pytest.param("csv", HEADER + b"1\xc3,TCP\n", id="truncated sequence"),
+        pytest.param("ndjson", b'{"Protocol": 1}\n', id="label not a string"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": NaN}\n', id="NaN"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": [-Infinity]}\n', id="Infinity"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": ' + b"9" * 4301 + b"}\n",
+                     id="integer over 4300 digits"),
+        pytest.param("ndjson", b'{"Protocol": "A", "Proto\\u0063ol": "B"}\n',
+                     id="key with backslash"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": ' + b"[" * 65 + b"]" * 65 + b"}\n",
+                     id="nested too deeply"),
+        pytest.param("ndjson", b'{"Protocol": "A"}\n[1]\n', id="line not an object"),
+        pytest.param("ndjson", b'{"Protocol": "A"}\n\x0c\n', id="other whitespace"),
+        pytest.param("ndjson", b'{"Protocol": "A"}\n\xc2\xa0\n', id="no-break space line"),
+        pytest.param("ndjson", b'{"Protocol": "A",}\n', id="trailing comma"),
+        pytest.param("ndjson", b'{"Protocol": "A"} x\n', id="text after the object"),
+        pytest.param("ndjson", b'{"Protocol":\n"A"}\n', id="object across lines"),
+        pytest.param("ndjson", b'{"Protocol": "A\tB"}\n', id="control character"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": 01}\n', id="leading zero"),
+        pytest.param("ndjson", b'{"proto": "A"}\n', id="no label member"),
+        pytest.param("ndjson", b'{"Protocol": "\\ud800"}\n', id="lone surrogate label"),
+        pytest.param("ndjson", b'{"Protocol": " "}\n', id="blank label"),
+        pytest.param("ndjson", b'{"Protocol": "A", "x": "\xed\xb0\x80"}\n',
+                     id="invalid UTF-8"),
+        pytest.param("ndjson", b"\n \n", id="no records"),
+    ],
+)
+def test_scanner_hands_over(format, data):
+    """Each input the scanner cannot be sure of goes to the Python parser,
+    and the outcome is the Python parser's."""
+    assert _scan(data, format) is None
+    label_column = "Protocol"
+    assert _parse_with(_native, data, format, label_column) == _parse_with(
+        None, data, format, label_column
+    )
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "format,data,labels",
+    [
+        pytest.param("ndjson", b'{"Protocol": "A", "x": {"Protocol": 1}, "Protocol": "B"}\n',
+                     ("B",), id="last duplicate key wins"),
+        pytest.param("csv", HEADER + b'1, TCP\n2,TCP \r\n3,"TCP"\r\r4,"\tTCP"\n',
+                     ("TCP",) * 4, id="equal after stripping"),
+        pytest.param("ndjson", b'{"Protocol": " A"}\r{"Protocol": "\\u0041"}\r\n'
+                     b'\t\n{"Protocol":"A "}', ("A",) * 3, id="equal after decoding"),
+        pytest.param("csv", HEADER + b'1,"x ""y"",\r\nz"\n', ('x "y",\r\nz',),
+                     id="quoted label"),
+        pytest.param("csv", codecs.BOM_UTF8 + HEADER + b"1,\xc3\xa9\n", ("é",), id="BOM"),
+        pytest.param("csv", b'"N\r\no.",Protocol\r1,TCP\n', ("TCP",),
+                     id="header across lines"),
+        pytest.param("csv", HEADER + b"".join(b"%d,L%d\n" % (i, i % 300) for i in range(600)),
+                     tuple(f"L{i % 300}" for i in range(600)), id="300 labels"),
+        pytest.param("ndjson", b"".join(b'{"Protocol": "L%d"}\n' % i for i in range(70000)),
+                     tuple(f"L{i}" for i in range(70000)), id="70000 labels"),
+    ],
+)
+def test_scanner_reads_what_python_reads(format, data, labels):
+    scanned = _scan(data, format)
+    assert scanned is not None
+    assert scanned[0] == labels
+    assert _parse_with(_native, data, format, "Protocol") == _parse_with(
+        None, data, format, "Protocol"
+    )
+
+
+@needs_native
+def test_scanner_result_shape():
+    """Codes in first-appearance order, each distinct raw token with the
+    record where it first appears, and the end lines."""
+    codes, tokens, ends = _native.scan_csv_labels(
+        HEADER + b'1,B\n\n2,"A"\r\n3,B\r4,"""A"\n', 1, 2, 100
+    )
+    assert (codes.typecode, list(codes)) == ("B", [0, 1, 0, 2])
+    assert tokens == [(b"B", 0), (b"A", 1), (b'"A', 3)]
+    assert (ends.typecode, list(ends)) == ("q", [1, 2, 4, 5, 6])
+    codes, tokens, ends = _native.scan_ndjson_labels(b'{"p": "\\u0041"}\n{"p": "A"}', "p")
+    assert list(codes) == [0, 1] and tokens == [(b'"\\u0041"', 0), (b'"A"', 1)]
+    assert list(ends) == [0, 1, 2]

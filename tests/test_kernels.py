@@ -384,3 +384,11 @@ class TestBackendEquivalenceProperty:
 def test_backend_name_reported():
     assert kernels.backend_name() in ("pure", "native")
     assert "pure" in kernels.available_backends()
+
+
+def test_label_scanners_only_on_native_backend():
+    """The pure backend has no label scanners, so the dataset module's
+    Python parser reads every input there."""
+    pure_backend = kernels.backend_name() == "pure"
+    assert (kernels.scan_csv_labels is None) == pure_backend
+    assert (kernels.scan_ndjson_labels is None) == pure_backend
