@@ -38,7 +38,9 @@ from pktsample.report import (
     render_sample_csv,
     render_table,
 )
-from pktsample.samplers import FAMILIES, SIZE_PARAMETERS, SampleSpec, draw
+from pktsample.samplers import FAMILIES, SIZE_LIMIT, SIZE_PARAMETERS, SampleSpec, draw
+
+MAX_DECIMALS = 50
 
 
 def _write_text(path: str, text: str) -> None:
@@ -66,6 +68,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _bad_decimals(args) -> bool:
     if args.decimals < 0:
         _error("--decimals must be >= 0")
+        return True
+    if args.decimals > MAX_DECIMALS:
+        _error(f"--decimals must be <= {MAX_DECIMALS}")
         return True
     return False
 
@@ -218,11 +223,17 @@ def cmd_oracle(args) -> int:
     if not n_values or any(n < 1 for n in n_values):
         _error("--n values must be >= 1")
         return 2
+    if max(n_values) >= SIZE_LIMIT:
+        _error("--n values must be < 2**63")
+        return 2
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         _error("--n values must be strictly increasing")
         return 2
     if args.trials < 1:
         _error("--trials must be >= 1")
+        return 2
+    if args.trials >= SIZE_LIMIT:
+        _error("--trials must be < 2**63")
         return 2
     dataset, hist = _load_input(args)
     if not args.with_replacement and max(n_values) > dataset.population:

@@ -1,13 +1,13 @@
 """Labeled packet-record datasets: ingestion, histograms, synthesis.
 
 A dataset is an ordered sequence of protocol-labeled records, stored
-as a label column plus passthrough attributes left in the input text
-until something asks for them.  Labels are opaque
-strings compared exactly (case-sensitively) after whitespace trimming;
-everything else a row carries is kept as passthrough attributes.  The
-reference ingestion schema is a Wireshark-style CSV export (``No.,
-Time, Source, Destination, Protocol, Length, Info``) with the label in
-the ``Protocol`` column.
+as a column of class codes with a label table, plus passthrough
+attributes left in the input text until something asks for them.
+Labels are opaque strings compared exactly (case-sensitively) after
+whitespace trimming; everything else a row carries is kept as
+passthrough attributes.  The reference ingestion schema is a
+Wireshark-style CSV export (``No., Time, Source, Destination, Protocol,
+Length, Info``) with the label in the ``Protocol`` column.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import io
 import json
 import re
 from array import array
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
@@ -126,16 +126,44 @@ class _SourceRows:
         return columns
 
 
+def _code_array(codes: Iterable[int], nclasses: int) -> array:
+    """Class codes in the narrowest unsigned ``array`` that holds
+    ``nclasses`` codes, as the native label scanners return them."""
+    if nclasses <= 0x100:
+        return array("B", bytes(codes))  # bytes() converts a list of ints in C
+    return array("H" if nclasses <= 0x10000 else "I", codes)
+
+
+def _encoded(labels: Iterable[str]) -> tuple[array, tuple[str, ...]]:
+    """The class code of each label and the label table, labels in
+    first-appearance order."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return _code_array(codes, len(index)), tuple(index)
+
+
+def _recoded(codes: array, mapping: Sequence[int], nclasses: int) -> array:
+    """``codes`` with each code c replaced by ``mapping[c]``, a code below
+    ``nclasses``."""
+    if codes.typecode == "B":
+        recoded = array("B")
+        recoded.frombytes(codes.tobytes().translate(bytes(mapping).ljust(256, b"\0")))
+        return recoded
+    return _code_array([mapping[code] for code in codes], nclasses)
+
+
 class TraceDataset:
     """Ordered, immutable sequence of records; the population being sampled.
 
-    The dataset is stored as a label column, not as one object per
-    record: ``labels[k - 1]`` is the label of record k (one shared ``str``
-    per distinct label).  A parsed dataset keeps its passthrough
+    The dataset is stored as a column of class codes, not as one object
+    per record: record k is of class ``codes[k - 1]``, whose label is
+    ``table[codes[k - 1]]``.  ``codes`` is an unsigned ``array`` (typecode
+    ``B`` up to 256 classes, wider beyond) and ``table`` lists the labels
+    in first-appearance order.  A parsed dataset keeps its passthrough
     attributes in the input it was read from, with the line on which each
     record ends, and parses a record's attributes only when they are
-    asked for.  ``records`` is a lazy library view that builds
-    ``PacketRecord`` objects on first access.
+    asked for.  ``labels`` and ``records`` are lazy library views built on
+    first access.
     """
 
     def __init__(self, records: Iterable[PacketRecord]):
@@ -148,20 +176,28 @@ class TraceDataset:
                 )
             if not record.label:
                 raise ValueError(f"record at position {i} has an empty label")
-        self.labels = tuple(record.label for record in records)
+        self.codes, self.table = _encoded(record.label for record in records)
         self._attributes = tuple(record.attributes for record in records)
         self.__dict__["records"] = records  # the cached view is these records
 
     @classmethod
-    def _from_labels(
-        cls, labels: Iterable[str], attributes: _SourceRows
+    def _from_codes(
+        cls, codes: array, table: tuple[str, ...], attributes: _SourceRows
     ) -> "TraceDataset":
-        """A dataset over an already validated label column and its
-        attribute store (no per-record objects)."""
+        """A dataset over an already validated code column, its label table
+        and its attribute store (no per-record objects)."""
         dataset = cls.__new__(cls)
-        dataset.labels = tuple(labels)
+        dataset.codes = codes
+        dataset.table = table
         dataset._attributes = attributes
         return dataset
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The label of each record (one shared ``str`` per distinct
+        label), built on first access."""
+        table = self.table
+        return tuple([table[code] for code in self.codes])
 
     @cached_property
     def records(self) -> tuple[PacketRecord, ...]:
@@ -179,17 +215,15 @@ class TraceDataset:
 
     @cached_property
     def _histogram(self) -> "ClassHistogram":
-        return ClassHistogram.from_counts(Counter(self.labels).items())
+        counts, _ = self.strata
+        return ClassHistogram.from_counts(zip(self.table, counts))
 
     @cached_property
-    def strata(self) -> tuple[tuple[str, array], ...]:
-        """Each label with the ascending 1-based positions of its records,
-        labels in first-appearance order."""
-        strata = {label: array("q") for label in dict.fromkeys(self.labels)}
-        appends = {label: positions.append for label, positions in strata.items()}
-        for position, label in enumerate(self.labels, start=1):
-            appends[label](position)
-        return tuple(strata.items())
+    def strata(self) -> tuple[list[int], array]:
+        """``kernels.group_by_code`` of the codes: the number of records of
+        each code, and the 1-based positions of the records grouped by
+        code, ascending within a code, as ``array('q')``."""
+        return kernels.group_by_code(self.codes, len(self.table))
 
     def attribute_columns(self) -> tuple[tuple[str, ...], Sequence[Sequence[str]]]:
         """The attribute keys and one value column per key.
@@ -209,10 +243,10 @@ class TraceDataset:
 
     @property
     def population(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.records)
@@ -220,7 +254,11 @@ class TraceDataset:
     def __eq__(self, other):
         if not isinstance(other, TraceDataset):
             return NotImplemented
-        return self.labels == other.labels and self.records == other.records
+        return (
+            self.table == other.table
+            and self.codes == other.codes
+            and self.records == other.records
+        )
 
 
 @dataclass(frozen=True)
@@ -292,13 +330,15 @@ def _undecodable(source: bytes) -> InvalidUtf8:
 
 
 def _scanned(scan, source: bytes | str, decode, *args):
-    """The labels and end lines that a native label scanner reads from
-    ``source``, or ``None`` where there is no scanner, the source is text
-    or the scanner hands the input back to the Python parser.
+    """The class codes, label table and end lines that a native label
+    scanner reads from ``source``, or ``None`` where there is no scanner,
+    the source is text or the scanner hands the input back to the Python
+    parser.
 
-    Each distinct raw token is decoded and stripped once; a blank label
-    or one no report can write as UTF-8 also goes back to the Python
-    parser, which raises its error.
+    Each distinct raw token is decoded and stripped once, and the codes
+    of tokens that decode to one label (`` TCP`` and ``TCP``) are merged;
+    a blank label or one no report can write as UTF-8 also goes back to
+    the Python parser, which raises its error.
     """
     if scan is None or not isinstance(source, bytes):
         return None
@@ -306,8 +346,8 @@ def _scanned(scan, source: bytes | str, decode, *args):
     if scanned is None:
         return None
     codes, tokens, ends = scanned
-    shared: dict[str, str] = {}
-    table = []
+    index: dict[str, int] = {}
+    mapping = []
     for token, _ in tokens:
         try:
             label = decode(token).strip()
@@ -316,8 +356,10 @@ def _scanned(scan, source: bytes | str, decode, *args):
             return None
         if not label:
             return None
-        table.append(shared.setdefault(label, label))
-    return tuple(map(table.__getitem__, codes)), ends
+        mapping.append(index.setdefault(label, len(index)))
+    if len(index) < len(mapping):
+        codes = _recoded(codes, mapping, len(index))
+    return codes, tuple(index), ends
 
 
 def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
@@ -337,62 +379,62 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
     label_index = header.index(label_column)
     width = len(header)
     keys = tuple(key for i, key in enumerate(header) if i != label_index)
-    labels, ends = _scanned(
+    codes, table, ends = _scanned(
         kernels.scan_csv_labels, source, bytes.decode,
         label_index, width, csv.field_size_limit(),
     ) or _read_csv_labels(source, reader, label_index, width)
-    return TraceDataset._from_labels(
-        labels, _SourceRows(source, ends, keys, label_index)
+    return TraceDataset._from_codes(
+        codes, table, _SourceRows(source, ends, keys, label_index)
     )
 
 
 def _read_csv_labels(source, reader, label_index: int, width: int):
-    """The Python CSV parser: labels and end lines of the rows after the
-    header."""
-    labels: list[str] = []
+    """The Python CSV parser: class codes, label table and end lines of
+    the rows after the header."""
+    codes: list[int] = []
     ends = array("q", [reader.line_num])
-    shared: dict[str, str] = {}
+    index: dict[str, int] = {}
     try:
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
                 raise MalformedRow(
-                    f"row {len(labels) + 1} (line {reader.line_num}): expected "
+                    f"row {len(codes) + 1} (line {reader.line_num}): expected "
                     f"{width} columns, got {len(row)}"
                 )
             label = row[label_index].strip()
             if not label:
                 raise EmptyLabel(
-                    f"row {len(labels) + 1} (line {reader.line_num}): blank label"
+                    f"row {len(codes) + 1} (line {reader.line_num}): blank label"
                 )
-            labels.append(shared.setdefault(label, label))
+            codes.append(index.setdefault(label, len(index)))
             ends.append(reader.line_num)
     except UnicodeDecodeError:
         raise _undecodable(source) from None
     except csv.Error as exc:
         raise MalformedRow(
-            f"row {len(labels) + 1} (line {reader.line_num}): {exc}"
+            f"row {len(codes) + 1} (line {reader.line_num}): {exc}"
         ) from None
-    if not labels:
+    if not codes:
         raise EmptyDataset("input has no data rows")
-    return labels, ends
+    return _code_array(codes, len(index)), tuple(index), ends
 
 
 def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
-    labels, ends = _scanned(
+    codes, table, ends = _scanned(
         kernels.scan_ndjson_labels, source, json.loads, label_column
     ) or _read_ndjson_labels(source, text, label_column)
-    return TraceDataset._from_labels(
-        labels, _SourceRows(source, ends, None, label_column)
+    return TraceDataset._from_codes(
+        codes, table, _SourceRows(source, ends, None, label_column)
     )
 
 
 def _read_ndjson_labels(source, text: IO[str], label_column: str):
-    """The Python NDJSON parser: labels and end lines."""
-    labels: list[str] = []
+    """The Python NDJSON parser: class codes, label table and end lines."""
+    codes: list[int] = []
     ends = array("q", [0])
-    shared: dict[str, str] = {}
+    index: dict[str, int] = {}
     try:
         for line_num, line in enumerate(text, start=1):
             if not line.strip():
@@ -420,16 +462,16 @@ def _read_ndjson_labels(source, text: IO[str], label_column: str):
             label = _stringify(obj[label_column]).strip()
             if not label:
                 raise EmptyLabel(f"line {line_num}: blank label")
-            if label not in shared:
+            if label not in index:
                 _check_encodable(label, line_num)
-                shared[label] = label
-            labels.append(shared[label])
+                index[label] = len(index)
+            codes.append(index[label])
             ends.append(line_num)
     except UnicodeDecodeError:
         raise _undecodable(source) from None
-    if not labels:
+    if not codes:
         raise EmptyDataset("input has no data rows")
-    return labels, ends
+    return _code_array(codes, len(index)), tuple(index), ends
 
 
 def _check_encodable(label: str, line_num: int) -> None:
@@ -500,13 +542,29 @@ def synthesize(
         raise ZeroTotal("histogram spec has zero total")
     if arrangement not in ("shuffled", "grouped"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
-    labels = []
-    for label, count in spec.entries:
-        labels.extend([label] * count)
-    if arrangement == "shuffled":
-        order = kernels.permutation(len(labels), seed)
-        labels = [labels[i] for i in order]
-    return TraceDataset._from_labels(labels, _SourceRows("", array("q"), (), 0))
+    codes: list[int] = []
+    for code, count in enumerate(spec.counts()):
+        codes += [code] * count
+    if arrangement == "shuffled" and len(codes) > 1:
+        # itemgetter gathers in C; given one index it returns the item
+        # itself, and one record has nothing to shuffle
+        codes = itemgetter(*kernels.permutation(len(codes), seed))(codes)
+    codes, table = _renumbered(_code_array(codes, spec.class_count), spec.labels())
+    return TraceDataset._from_codes(codes, table, _SourceRows("", array("q"), (), 0))
+
+
+def _renumbered(codes: array, table: tuple[str, ...]) -> tuple[array, tuple[str, ...]]:
+    """``codes`` and ``table`` renumbered so that the table lists the
+    labels in the order in which they first appear; every code appears."""
+    if codes.typecode == "B":  # one memchr per class
+        data = codes.tobytes()
+        seen = sorted(range(len(table)), key=data.find)
+    else:
+        seen = list(dict.fromkeys(codes))
+    mapping = [0] * len(table)
+    for code, old in enumerate(seen):
+        mapping[old] = code
+    return _recoded(codes, mapping, len(table)), tuple(table[old] for old in seen)
 
 
 def parse_histogram_spec(text: str) -> ClassHistogram:

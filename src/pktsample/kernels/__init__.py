@@ -35,6 +35,7 @@ derive_seed = _impl.derive_seed
 permutation = _impl.permutation
 sample_without_replacement = _impl.sample_without_replacement
 sample_with_replacement = _impl.sample_with_replacement
+group_by_code = _impl.group_by_code
 # Label scanners exist only in C; without them ``pktsample.dataset`` parses
 # with its Python parser, which is also the reference the scanners follow.
 scan_csv_labels = None if _impl is _pure_module else _impl.scan_csv_labels

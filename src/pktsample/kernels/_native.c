@@ -5,9 +5,9 @@
  * diffs their outputs whenever this extension is importable.
  *
  * Plain C99 against the CPython C-API; it needs nothing but a C compiler.
- * Population, count, draw and trials lie in [0, 2**63), else ValueError;
- * seeds and indices are any ints, taken modulo 2**64; an Rng bound lies
- * in [1, 2**64), else ValueError.
+ * Population, count, draw, trials and the number of classes lie in
+ * [0, 2**63), else ValueError; seeds and indices are any ints, taken
+ * modulo 2**64; an Rng bound lies in [1, 2**64), else ValueError.
  *
  * It also holds the CSV and NDJSON label scanners, which have no pure
  * twin: dataset.py's Python parser reads what they hand back.
@@ -55,7 +55,7 @@ static int as_u64(PyObject *obj, uint64_t *out)
     return (*out == (uint64_t)-1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* An int in [0, 2**63): population, count, draw, trials. */
+/* An int in [0, 2**63): population, count, draw, trials, nclasses. */
 static int as_size(PyObject *obj, const char *name, int64_t *out)
 {
     int overflow;
@@ -400,6 +400,103 @@ done:
     PyMem_Free(ends);
     Py_DECREF(counts);
     return rows;
+}
+
+/* Code ``i`` of a buffer of ``itemsize``-byte unsigned ints. */
+static uint64_t code_at(const char *codes, Py_ssize_t itemsize, Py_ssize_t i)
+{
+    uint8_t u8;
+    uint16_t u16;
+    uint32_t u32;
+    uint64_t u64;
+    switch (itemsize) {
+    case 1:
+        memcpy(&u8, codes + i, 1);
+        return u8;
+    case 2:
+        memcpy(&u16, codes + 2 * i, 2);
+        return u16;
+    case 4:
+        memcpy(&u32, codes + 4 * i, 4);
+        return u32;
+    default:
+        memcpy(&u64, codes + 8 * i, 8);
+        return u64;
+    }
+}
+
+/* array('q') of ``length`` zeros, its items exported writable to ``view``. */
+static PyObject *zero_positions(Py_ssize_t length, Py_buffer *view)
+{
+    PyObject *module = PyImport_ImportModule("array"), *one, *zeros = NULL;
+    if (module == NULL)
+        return NULL;
+    one = PyObject_CallMethod(module, "array", "s[i]", "q", 0);
+    Py_DECREF(module);
+    if (one != NULL)
+        zeros = PySequence_Repeat(one, length);
+    Py_XDECREF(one);
+    if (zeros != NULL
+        && PyObject_GetBuffer(zeros, view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
+        Py_CLEAR(zeros);
+    return zeros;
+}
+
+static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"codes", "nclasses", NULL};
+    PyObject *codes_arg, *nclasses_arg, *counts = NULL, *positions = NULL, *result = NULL;
+    Py_buffer codes, out = {0};
+    int64_t nclasses, *starts = NULL, *position;
+    Py_ssize_t records, i;
+    uint64_t code;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:group_by_code", kwlist,
+                                     &codes_arg, &nclasses_arg)
+        || as_size(nclasses_arg, "nclasses", &nclasses) < 0
+        || PyObject_GetBuffer(codes_arg, &codes, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return NULL;
+    if (codes.ndim != 1 || codes.format == NULL || codes.format[0] == '\0'
+        || codes.format[1] != '\0' || strchr("BHILQ", codes.format[0]) == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "codes must be a one-dimensional buffer of unsigned ints");
+        goto done;
+    }
+    records = codes.len / codes.itemsize;
+    for (i = 0; i < records; i++) {
+        code = code_at(codes.buf, codes.itemsize, i);
+        if (code >= (uint64_t)nclasses) {
+            PyErr_Format(PyExc_ValueError, "codes must lie in [0, %lld), got %llu",
+                         (long long)nclasses, (unsigned long long)code);
+            goto done;
+        }
+    }
+    if ((uint64_t)nclasses >= PY_SSIZE_T_MAX / sizeof(int64_t)
+        || (starts = PyMem_Calloc((size_t)nclasses + 1, sizeof(int64_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < records; i++)
+        starts[code_at(codes.buf, codes.itemsize, i) + 1]++;
+    counts = new_list(nclasses);
+    for (i = 0; counts != NULL && i < nclasses; i++)
+        set_int(&counts, i, starts[i + 1]);
+    for (i = 0; i < nclasses; i++)
+        starts[i + 1] += starts[i];
+    if (counts == NULL || (positions = zero_positions(records, &out)) == NULL)
+        goto done;
+    position = out.buf;
+    for (i = 0; i < records; i++)
+        position[starts[code_at(codes.buf, codes.itemsize, i)]++] = i + 1;
+    result = PyTuple_Pack(2, counts, positions);
+done:
+    if (out.obj != NULL)
+        PyBuffer_Release(&out);
+    PyBuffer_Release(&codes);
+    PyMem_Free(starts);
+    Py_XDECREF(counts);
+    Py_XDECREF(positions);
+    return result;
 }
 
 /* --- label scanners ------------------------------------------------------- */
@@ -1061,6 +1158,9 @@ static PyMethodDef module_methods[] = {
     KERNEL(class_count_trials,
            "Per-class sampled counts of trials ``first .. first + trials - 1`` "
            "of uniform sampling."),
+    KERNEL(group_by_code,
+           "Stable counting sort of class codes: per-code counts and the 1-based "
+           "positions grouped by code."),
     KERNEL(scan_csv_labels,
            "Class codes, distinct label tokens and end lines of a CSV input, "
            "or None."),

@@ -16,8 +16,8 @@ lies in [1, 2**64), else ``ValueError``; a bound of 1 consumes no PRNG
 output.  Substreams (one per stratum, one per Monte Carlo trial) are
 derived as ``mix64(seed + GAMMA * (index + 1))`` so that adding a
 stratum or trial never perturbs earlier streams.
-Population, count, draw and trials must lie in [0, 2**63); seeds and
-indices are any ints, taken modulo 2**64.
+Population, count, draw, trials and the number of classes must lie in
+[0, 2**63); seeds and indices are any ints, taken modulo 2**64.
 
 Every function here is a pure function of its arguments; golden output
 vectors for pinned seeds are committed under ``tests/golden/``.
@@ -25,6 +25,7 @@ vectors for pinned seeds are committed under ``tests/golden/``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -180,3 +181,33 @@ def class_count_trials(
                 row[bisect_right(ends, taken)] += 1
         rows.append(row)
     return rows
+
+
+_CODE_FORMATS = ("B", "H", "I", "L", "Q")
+
+
+def group_by_code(codes, nclasses: int) -> tuple[list[int], array]:
+    """Stable counting sort of class codes.
+
+    ``codes`` is a one-dimensional buffer of unsigned ints (an ``array``
+    of typecode B, H, I, L or Q) whose every code lies in
+    [0, nclasses).  Returns the number of records of each code and the
+    1-based positions of the records grouped by code, ascending within a
+    code, as ``array('q')``.
+    """
+    _check_sizes(nclasses=nclasses)
+    view = memoryview(codes)
+    if view.ndim != 1 or view.format not in _CODE_FORMATS:
+        raise TypeError("codes must be a one-dimensional buffer of unsigned ints")
+    if view and max(view) >= nclasses:
+        code = next(code for code in view if code >= nclasses)
+        raise ValueError(f"codes must lie in [0, {nclasses}), got {code}")
+    counts = [0] * nclasses
+    for code in view:
+        counts[code] += 1
+    starts = [0, *accumulate(counts)]
+    positions = array("q", bytes(8 * len(view)))
+    for position, code in enumerate(view, start=1):
+        positions[starts[code]] = position
+        starts[code] += 1
+    return counts, positions

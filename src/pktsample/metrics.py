@@ -184,13 +184,12 @@ def class_report(
 ) -> ImbalanceReport:
     """Per-class analysis of a sample against its source histogram."""
     known = set(source_histogram.labels())
-    counts: dict[str, int] = {}
-    for entry in sample.entries:
-        if entry.label not in known:
+    counts = sample.label_counts()
+    for label in counts:
+        if label not in known:
             raise UnknownLabelInSample(
-                f"sample contains label {entry.label!r} absent from the source"
+                f"sample contains label {label!r} absent from the source"
             )
-        counts[entry.label] = counts.get(entry.label, 0) + 1
     return _report_from_counts(
         source_histogram, counts, display_decimals, sample.spec
     )

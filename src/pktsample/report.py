@@ -13,8 +13,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from importlib import resources
+from itertools import islice
 
 from pktsample.dataset import TraceDataset
 from pktsample.errors import EmptySeries, NonMonotonicAxis
@@ -22,12 +23,21 @@ from pktsample.metrics import ImbalanceReport
 from pktsample.samplers import FAMILIES, SampleResult, SampleSpec
 
 SCHEMA_VERSION = "1.0"
+_JOIN_ROWS = 8192  # sample CSV rows joined per step
 
 
 def format_decimal(value: float, decimals: int) -> str:
-    """Fixed-point half-up rounding of a float's shortest decimal form."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    """Fixed-point half-up rounding of a float's shortest decimal form.
+
+    The rounding runs at a precision that holds every digit of the
+    result, so any number of decimals works.
+    """
+    exact = Decimal(repr(float(value)))
+    with localcontext() as context:
+        # the digits before the point, one more for a carry, then decimals
+        context.prec = max(context.prec, exact.adjusted() + 2 + decimals)
+        quantum = Decimal(1).scaleb(-decimals)
+        return str(exact.quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def round_half_up(value: float, decimals: int) -> float:
@@ -323,16 +333,33 @@ def missing_series_export(
     return out.getvalue()
 
 
-def render_sample_csv(result: SampleResult) -> str:
-    """Sample entries as CSV (source_position, label, synthetic)."""
+def _csv_row(row: list[str]) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["source_position", "label", "synthetic"])
-    for entry in result.entries:
-        writer.writerow(
-            [entry.source_position, entry.label, "true" if entry.synthetic else "false"]
-        )
+    csv.writer(out, lineterminator="\n").writerow(row)
     return out.getvalue()
+
+
+def render_sample_csv(result: SampleResult) -> str:
+    """Sample entries as CSV (source_position, label, synthetic).
+
+    A row is its position followed by a cell that depends only on the
+    entry's class and synthetic flag; each cell is written once by
+    ``csv.writer``, so the quoting is the csv module's.  Rows are joined
+    a few thousand at a time, so the text is held about twice, not as
+    one string object per row.
+    """
+    classes = len(result.table)
+    cells = [
+        _csv_row(["", label, flag])
+        for flag in ("false", "true")
+        for label in result.table
+    ]
+    keys = result.codes
+    if result.synthetic is not None:
+        keys = [code + classes * flag for code, flag in zip(keys, result.synthetic)]
+    rows = (str(position) + cells[key] for position, key in zip(result.positions, keys))
+    chunks = iter(lambda: "".join(islice(rows, _JOIN_ROWS)), "")
+    return "".join([_csv_row(["source_position", "label", "synthetic"]), *chunks])
 
 
 def dataset_to_csv(dataset: TraceDataset) -> str:

@@ -14,19 +14,25 @@ Five families behind one contract, one ``FAMILIES`` entry each:
   replacement-drawn duplicates flagged ``synthetic``.
 
 Every sampler is a pure function of (dataset, parameters, seed) and is
-bit-reproducible across runs and platforms.
+bit-reproducible across runs and platforms.  A sample is stored as
+columns of source positions and class codes, read straight from the
+dataset's code column and strata.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterable
 
 from pktsample import kernels
-from pktsample.dataset import TraceDataset, histogram
+from pktsample.dataset import TraceDataset, _encoded
 from pktsample.errors import EmptyDataset, TargetExceedsPopulation
 
 SIZE_PARAMETERS = ("n", "interval", "k")
+SIZE_LIMIT = 2**63  # sizes lie below the kernels' bound
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,8 @@ class SampleSpec:
         entry = FAMILIES[self.family]
         if self.size is None or self.size < 1:
             raise ValueError(f"{self.family} sampling needs {entry.size} >= 1")
+        if self.size >= SIZE_LIMIT:
+            raise ValueError(f"{self.family} sampling needs {entry.size} < 2**63")
         for name in SIZE_PARAMETERS:
             if name != entry.size and getattr(self, name) is not None:
                 raise ValueError(
@@ -113,31 +121,101 @@ class SampledRecord:
     synthetic: bool = False
 
 
-@dataclass(frozen=True)
 class SampleResult:
-    """A sample with full provenance about its source."""
+    """A sample with full provenance about its source.
 
-    spec: SampleSpec
-    entries: tuple[SampledRecord, ...]
-    source_population: int
-    source_class_count: int
+    The sample is stored as columns, not as one object per entry: entry i
+    is source record ``positions[i]`` (1-based, an ``array('q')``) of
+    class ``codes[i]``, whose label is ``table[codes[i]]``, and is a
+    synthetic duplicate where the flag ``synthetic[i]`` is set
+    (``synthetic`` is None for a sample that can have none).  ``entries``
+    is a lazy library view that builds ``SampledRecord`` objects on first
+    access.
+    """
+
+    def __init__(
+        self,
+        spec: SampleSpec,
+        entries: Iterable[SampledRecord],
+        source_population: int,
+        source_class_count: int,
+    ):
+        entries = tuple(entries)
+        codes, table = _encoded(entry.label for entry in entries)
+        synthetic = array("B", [entry.synthetic for entry in entries])
+        self._set_columns(
+            spec, array("q", [entry.source_position for entry in entries]), codes,
+            table, synthetic if any(synthetic) else None, source_population,
+            source_class_count,
+        )
+        self.__dict__["entries"] = entries  # the cached view is these entries
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "SampleResult":
+        """A sample over its columns (no per-entry objects): ``spec``,
+        ``positions``, ``codes``, ``table``, ``synthetic``,
+        ``source_population`` and ``source_class_count``."""
+        result = cls.__new__(cls)
+        result._set_columns(*columns)
+        return result
+
+    def _set_columns(
+        self,
+        spec: SampleSpec,
+        positions: array,
+        codes: array,
+        table: tuple[str, ...],
+        synthetic: array | None,
+        source_population: int,
+        source_class_count: int,
+    ) -> None:
+        self.spec = spec
+        self.positions = positions
+        self.codes = codes
+        self.table = table
+        self.synthetic = synthetic
+        self.source_population = source_population
+        self.source_class_count = source_class_count
+
+    @cached_property
+    def entries(self) -> tuple[SampledRecord, ...]:
+        """One ``SampledRecord`` per entry, built on first access."""
+        labels = map(self.table.__getitem__, self.codes)
+        if self.synthetic is None:
+            return tuple(map(SampledRecord, self.positions, labels))
+        flags = map(bool, self.synthetic)
+        return tuple(map(SampledRecord, self.positions, labels, flags))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.positions)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return (self.spec, self.entries, self.source_population, self.source_class_count)
 
     def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.label] = counts.get(entry.label, 0) + 1
-        return counts
+        """Entries per label, labels in first-appearance order."""
+        table = self.table
+        return {table[code]: count for code, count in Counter(self.codes).items()}
 
 
-def _result(dataset: TraceDataset, spec: SampleSpec, entries) -> SampleResult:
-    return SampleResult(
-        spec=spec,
-        entries=tuple(entries),
-        source_population=dataset.population,
-        source_class_count=histogram(dataset).class_count,
+def _result(
+    dataset: TraceDataset,
+    spec: SampleSpec,
+    positions: Iterable[int],
+    codes: array,
+    synthetic: array | None = None,
+) -> SampleResult:
+    return SampleResult._from_columns(
+        spec, array("q", positions), codes, dataset.table, synthetic,
+        dataset.population, len(dataset.table),
     )
 
 
@@ -160,30 +238,23 @@ def random_sample(
     """
     _require_nonempty(dataset)
     spec = SampleSpec.random(n, with_replacement=with_replacement, seed=seed)
-    labels = dataset.labels
     if with_replacement:
         positions = kernels.sample_with_replacement(dataset.population, n, seed)
     else:
         positions = kernels.sample_without_replacement(
             dataset.population, min(n, dataset.population), seed
         )
-    entries = (
-        SampledRecord(source_position=p, label=labels[p - 1])
-        for p in positions
-    )
-    return _result(dataset, spec, entries)
+    codes = dataset.codes
+    picked = array(codes.typecode, [codes[p - 1] for p in positions])
+    return _result(dataset, spec, positions, picked)
 
 
 def systematic_sample(dataset: TraceDataset, interval: int) -> SampleResult:
     """Every ``interval``-th record starting from position 1."""
     _require_nonempty(dataset)
     spec = SampleSpec.systematic(interval)
-    labels = dataset.labels
-    entries = (
-        SampledRecord(source_position=p, label=labels[p - 1])
-        for p in range(1, dataset.population + 1, interval)
-    )
-    return _result(dataset, spec, entries)
+    positions = range(1, dataset.population + 1, interval)
+    return _result(dataset, spec, positions, dataset.codes[::interval])
 
 
 def systematic_by_count(dataset: TraceDataset, n: int) -> SampleResult:
@@ -199,13 +270,9 @@ def systematic_by_count(dataset: TraceDataset, n: int) -> SampleResult:
             f"target {n} exceeds population {dataset.population}"
         )
     interval = dataset.population // n
-    labels = dataset.labels
-    positions = range(1, dataset.population + 1, interval)
-    entries = (
-        SampledRecord(source_position=p, label=labels[p - 1])
-        for _, p in zip(range(n), positions)
-    )
-    return _result(dataset, spec, entries)
+    stop = n * interval
+    positions = range(1, stop + 1, interval)
+    return _result(dataset, spec, positions, dataset.codes[:stop:interval])
 
 
 def stratified_sample(dataset: TraceDataset, interval: int) -> SampleResult:
@@ -218,13 +285,16 @@ def stratified_sample(dataset: TraceDataset, interval: int) -> SampleResult:
     """
     _require_nonempty(dataset)
     spec = SampleSpec.stratified(interval)
-    entries = []
-    for label, positions in dataset.strata:
-        entries.extend(
-            SampledRecord(source_position=p, label=label)
-            for p in positions[::interval]
-        )
-    return _result(dataset, spec, entries)
+    counts, order = dataset.strata
+    positions = array("q")
+    codes = array(dataset.codes.typecode)
+    start = 0
+    for code, count in enumerate(counts):
+        picked = order[start : start + count : interval]
+        positions += picked
+        codes += array(codes.typecode, [code]) * len(picked)
+        start += count
+    return _result(dataset, spec, positions, codes)
 
 
 def under_over_sample(dataset: TraceDataset, k: int, seed: int = 0) -> SampleResult:
@@ -239,29 +309,27 @@ def under_over_sample(dataset: TraceDataset, k: int, seed: int = 0) -> SampleRes
     """
     _require_nonempty(dataset)
     spec = SampleSpec.under_over(k, seed=seed)
-    entries = []
-    for index, (label, positions) in enumerate(dataset.strata):
-        sub_seed = kernels.derive_seed(seed, index)
-        size = len(positions)
+    counts, order = dataset.strata
+    positions = array("q")
+    codes = array(dataset.codes.typecode)
+    synthetic = array("B")
+    start = 0
+    for code, size in enumerate(counts):
+        stratum = order[start : start + size]
+        start += size
+        sub_seed = kernels.derive_seed(seed, code)
         if size > k:
             picks = kernels.sample_without_replacement(size, k, sub_seed)
-            entries.extend(
-                SampledRecord(source_position=positions[i - 1], label=label)
-                for i in picks
-            )
+            positions.extend([stratum[i - 1] for i in picks])
         else:
-            entries.extend(
-                SampledRecord(source_position=p, label=label) for p in positions
-            )
+            positions += stratum
             if size < k:
                 extras = kernels.sample_with_replacement(size, k - size, sub_seed)
-                entries.extend(
-                    SampledRecord(
-                        source_position=positions[i - 1], label=label, synthetic=True
-                    )
-                    for i in extras
-                )
-    return _result(dataset, spec, entries)
+                positions.extend([stratum[i - 1] for i in extras])
+        codes += array(codes.typecode, [code]) * k
+        kept = min(size, k)
+        synthetic += array("B", [0]) * kept + array("B", [1]) * (k - kept)
+    return _result(dataset, spec, positions, codes, synthetic)
 
 
 @dataclass(frozen=True)

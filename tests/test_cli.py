@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -227,6 +228,77 @@ def test_commands_parse_no_attributes(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(_SourceRows, "_line_starts", no_attributes)
     monkeypatch.setattr(_SourceRows, "csv_columns", no_attributes)
     _run_every_command(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+def test_commands_build_no_sampled_records(name, tmp_path, monkeypatch, capsys):
+    """CLI commands read samples as position and code columns:
+    constructing a SampledRecord anywhere on their path fails the
+    command."""
+    import pktsample.samplers
+
+    def no_entries(*args, **kwargs):
+        raise AssertionError("a CLI path built a SampledRecord")
+
+    monkeypatch.setattr(pktsample.samplers, "SampledRecord", no_entries)
+    _run_every_command(name, tmp_path)
+
+
+HUGE = str(2**63)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--n", HUGE, "--with-replacement"], "--n values must be < 2**63"),
+        (["oracle", "--n", "5", "--trials", HUGE], "--trials must be < 2**63"),
+        (["sample", "--family", "random", "--n", HUGE, "--with-replacement"],
+         "random sampling needs n < 2**63"),
+        (["sample", "--family", "underover", "--k", HUGE],
+         "underover sampling needs k < 2**63"),
+        (["sample", "--family", "systematic", "--interval", HUGE],
+         "systematic sampling needs interval < 2**63"),
+        (["compare", "--runs", "RUNS"], "runs line 1: bycount sampling needs n < 2**63"),
+    ],
+)
+def test_sizes_at_or_above_2_63_exit_2(argv, message, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\n", encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text(f"bycount n={HUGE}\n", encoding="utf-8")
+    argv = [str(runs) if arg == "RUNS" else arg for arg in argv]
+    assert main(argv[:1] + ["--input", str(data)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pktsample: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["sample", "--family", "stratified", "--interval", "2", "--out", "OUT"],
+        ["compare", "--runs", "RUNS"],
+    ],
+)
+def test_wide_decimals(argv, tmp_path, capsys):
+    """--decimals works up to 50 (here 30, past the 28 digits of the
+    default decimal context) and is a usage error above."""
+    data = tmp_path / "d.csv"
+    data.write_text("Protocol\nTCP\nARP\nTCP\n", encoding="utf-8")
+    runs = tmp_path / "runs.txt"
+    runs.write_text("systematic interval=2\n", encoding="utf-8")
+    paths = {"RUNS": str(runs), "OUT": str(tmp_path / "sample.csv")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    argv = argv[:1] + ["--input", str(data)] + argv[1:]
+    assert main(argv + ["--decimals", "30"]) == 0
+    captured = capsys.readouterr()
+    assert re.search(r"\| \d+\.\d{30} \|", captured.out)
+    assert captured.err == ""
+    assert main(argv + ["--decimals", "51"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pktsample: error: --decimals must be <= 50\n"
 
 
 # --- sample ------------------------------------------------------------------

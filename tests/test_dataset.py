@@ -344,6 +344,39 @@ def test_histogram_synthesize_round_trip(entries, seed, arrangement):
     assert rebuilt.total == hist.total
 
 
+@pytest.mark.parametrize("arrangement", ["shuffled", "grouped"])
+def test_synthesized_table_in_first_appearance_order(arrangement):
+    """The label table, the histogram and the strata follow the order in
+    which classes first appear in the synthesized records."""
+    hist = ClassHistogram.from_counts([("A", 5), ("B", 9), ("C", 1), ("D", 3)])
+    dataset = synthesize(hist, seed=11, arrangement=arrangement)
+    labels = dataset.labels
+    assert dataset.table == tuple(dict.fromkeys(labels))
+    assert histogram(dataset).labels() == dataset.table
+    assert histogram(dataset).as_dict() == hist.as_dict()
+    counts, positions = dataset.strata
+    assert [labels[p - 1] for p in positions] == sorted(
+        labels, key=dataset.table.index
+    )
+    assert counts == [labels.count(label) for label in dataset.table]
+
+
+def test_codes_and_lazy_labels():
+    """A dataset holds one class code per record, in one byte up to 256
+    classes and wider beyond, and builds its label tuple only when asked."""
+    narrow = parse_records(io.BytesIO(b"Protocol\nB\nA\nB\n"))
+    assert (narrow.codes.typecode, list(narrow.codes)) == ("B", [0, 1, 0])
+    assert narrow.table == ("B", "A")
+    assert "labels" not in vars(narrow)
+    assert narrow.labels == ("B", "A", "B") and "labels" in vars(narrow)
+    text = "Protocol\n" + "".join(f"L{i}\n" for i in range(300)) + "L7\n"
+    wide = parse_records(io.BytesIO(text.encode()))
+    assert wide.codes.typecode == "H" and wide.codes[-1] == 7 and len(wide.table) == 300
+    built = TraceDataset(PacketRecord(i, label) for i, label in enumerate("xyx", 1))
+    assert (list(built.codes), built.table) == ([0, 1, 0], ("x", "y"))
+    assert built.labels == ("x", "y", "x")
+
+
 def test_histogram_spec_parsing():
     hist = parse_histogram_spec("# comment\nTCP,2\n\nIPX RIP,1\n")
     assert hist.entries == (("TCP", 2), ("IPX RIP", 1))
@@ -539,10 +572,17 @@ def _scan(data: bytes, format: str):
     ``No.,Protocol`` CSV or a ``Protocol``-labelled NDJSON input: labels
     and end lines, or None where the Python parser reads it."""
     if format == "csv":
-        return dataset_module._scanned(
+        scanned = dataset_module._scanned(
             _native.scan_csv_labels, data, bytes.decode, 1, 2, csv.field_size_limit()
         )
-    return dataset_module._scanned(_native.scan_ndjson_labels, data, json.loads, "Protocol")
+    else:
+        scanned = dataset_module._scanned(
+            _native.scan_ndjson_labels, data, json.loads, "Protocol"
+        )
+    if scanned is None:
+        return None
+    codes, table, ends = scanned
+    return tuple(map(table.__getitem__, codes)), ends
 
 
 HEADER = b"No.,Protocol\n"
@@ -628,6 +668,25 @@ def test_scanner_reads_what_python_reads(format, data, labels):
     assert scanned[0] == labels
     assert _parse_with(_native, data, format, "Protocol") == _parse_with(
         None, data, format, "Protocol"
+    )
+
+
+@needs_native
+@pytest.mark.parametrize("distinct", [3, 300])
+def test_scanned_codes_merge_equal_labels(distinct):
+    """Raw tokens that decode to one label share one code, in the
+    narrowest array that holds the merged codes."""
+    rows = b"".join(b"%d, L%d\n%d,L%d\n" % (i, i, i, i) for i in range(distinct // 2))
+    codes, table, ends = _scan_codes(HEADER + rows)
+    assert list(codes) == [i // 2 for i in range(len(codes))]
+    assert codes.typecode == "B"
+    assert table == tuple(f"L{i}" for i in range(distinct // 2))
+    assert len(ends) == len(codes) + 1
+
+
+def _scan_codes(data: bytes):
+    return dataset_module._scanned(
+        _native.scan_csv_labels, data, bytes.decode, 1, 2, csv.field_size_limit()
     )
 
 

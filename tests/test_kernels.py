@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,22 @@ def test_sizes_up_to_2_63_accepted(impl):
     assert impl.derive_seed(2**70 + 5, -3) == pure.derive_seed(5, 2**64 - 3)
 
 
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_group_by_code_contract(impl):
+    """Counts per code, and 1-based positions grouped by code, ascending
+    within a code; codes at or above nclasses and signed codes rejected."""
+    counts, positions = impl.group_by_code(array("B", [2, 0, 2, 1, 0, 2]), 4)
+    assert counts == [2, 1, 3, 0]
+    assert (positions.typecode, list(positions)) == ("q", [2, 5, 4, 1, 3, 6])
+    assert impl.group_by_code(array("I"), 0) == ([], array("q"))
+    with pytest.raises(ValueError, match=r"codes must lie in \[0, 3\), got 7"):
+        impl.group_by_code(array("H", [1, 7, 9]), 3)
+    with pytest.raises(ValueError, match=r"nclasses must lie in \[0, 2\*\*63\)"):
+        impl.group_by_code(array("B", [0]), 2**63)
+    with pytest.raises(TypeError, match="unsigned"):
+        impl.group_by_code(array("b", [0]), 1)
+
+
 @pytest.mark.skipif(_native is None, reason="native kernels not built")
 class TestBackendEquivalence:
     """Pure and native kernels must agree bit for bit."""
@@ -374,6 +391,21 @@ class TestBackendEquivalenceProperty:
             return [rng.randbelow(bound) for _ in range(8)]
 
         assert _outcome(draws, pure) == _outcome(draws, _native)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        typecode=st.sampled_from("BHI"),
+        codes=st.lists(st.integers(0, 12) | st.integers(0, 255), max_size=40),
+        wide=st.integers(0, 2**32 - 1),
+        nclasses=st.integers(-3, 300),
+    )
+    def test_group_by_code(self, typecode, codes, wide, nclasses):
+        if typecode != "B" and codes:
+            codes[len(codes) // 2] = wide % (2**16 if typecode == "H" else 2**32)
+        codes = array(typecode, codes)
+        assert _outcome(pure.group_by_code, codes, nclasses) == _outcome(
+            _native.group_by_code, codes, nclasses
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(count=st.integers(0, 300), seed=SEEDS)

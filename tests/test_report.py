@@ -49,6 +49,12 @@ GOLDEN = Path(__file__).parent / "golden"
         (4.0, 3, "4.000"),
         (0.5, 0, "1"),
         (11735.0, 3, "11735.000"),
+        # past the 28 digits of the default decimal context
+        (99.99, 40, "99.99" + "0" * 38),
+        (1e20, 30, "1" + "0" * 20 + "." + "0" * 30),
+        (9.5, 0, "10"),
+        (2 / 3, 50, "0.6666666666666666" + "0" * 34),
+        (0.1 + 0.2, 29, "0.30000000000000004" + "0" * 12),
     ],
 )
 def test_format_decimal_half_up(value, decimals, expected):

@@ -70,6 +70,22 @@ def test_spec_rejects_size_parameter_the_family_does_not_take():
         SampleSpec(family="underover", k=3, interval=2)
 
 
+def test_spec_sizes_below_2_63():
+    """Sizes at or above the kernels' 2**63 bound are rejected when the
+    spec is built, before anything is drawn or allocated."""
+    for build, name in (
+        (lambda size: SampleSpec.random(size, True), "random sampling needs n"),
+        (SampleSpec.systematic, "systematic sampling needs interval"),
+        (SampleSpec.by_count, "bycount sampling needs n"),
+        (SampleSpec.stratified, "stratified sampling needs interval"),
+        (SampleSpec.under_over, "underover sampling needs k"),
+    ):
+        assert build(2**63 - 1).size == 2**63 - 1
+        for size in (2**63, 2**70):
+            with pytest.raises(ValueError, match=rf"^{name} < 2\*\*63$"):
+                build(size)
+
+
 def test_spec_describe():
     assert SampleSpec.random(500).describe() == "random n=500, seed=0"
     assert SampleSpec.random(5, True, 9).describe() == "random wr n=5, seed=9"
