@@ -196,7 +196,7 @@ def cmd_compare(args) -> int:
     if _bad_decimals(args):
         return 2
     try:
-        runs_text = Path(args.runs).read_text(encoding="utf-8")
+        runs_text = Path(args.runs).read_text(encoding="utf-8-sig")
         specs = parse_run_matrix(runs_text, default_seed=args.seed)
     except FileNotFoundError:
         _error(f"runs file not found: {args.runs}")

@@ -12,7 +12,6 @@ Length, Info``) with the label in the ``Protocol`` column.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -22,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO
@@ -60,56 +59,32 @@ class _SourceRows:
     """Passthrough attributes left in the input, parsed when asked for.
 
     ``source`` is the whole input as read (``bytes``, or ``str`` from a
-    text stream), and ``ends[k]`` is the physical line on which record k
-    ends; ``ends[0]`` is the CSV header's last line (0 for NDJSON).
-    ``keys`` are the CSV attribute keys (``None`` for NDJSON, whose keys
-    vary by record) and ``label`` is the CSV label index or the NDJSON
-    label column.  CSV attributes are parsed for every record at once by
-    ``csv_columns()``; an NDJSON record's attributes are parsed from its
-    one line by indexing, with line offsets found on first access.
+    text stream).  ``keys`` are the CSV attribute keys (``None`` for
+    NDJSON, whose keys vary by record) and ``label`` is the CSV label
+    index or the NDJSON label column.  Each access parses the attributes
+    of every record in one pass over the source; nothing is kept per
+    record.
     """
 
-    __slots__ = ("source", "ends", "keys", "label", "_starts")
+    __slots__ = ("source", "keys", "label")
 
-    def __init__(self, source: bytes | str, ends: array, keys, label):
+    def __init__(self, source: bytes | str, keys, label):
         self.source = source
-        self.ends = ends
         self.keys = keys
         self.label = label
-        self._starts: array | None = None
 
-    def _line_starts(self) -> array:
-        r"""The offset at which each physical line starts, then the end of
-        the source; lines end at ``\r\n``, ``\r`` or ``\n``, as in
-        ``TextIOWrapper(newline="")``.  A BOM is skipped only at offset 0."""
-        source = self.source
-        if isinstance(source, str):
-            breaks = re.finditer(r"\r\n?|\n", source)
-            first = 0
-        else:
-            breaks = _LINE_BREAK.finditer(source)
-            first = len(codecs.BOM_UTF8) if source.startswith(codecs.BOM_UTF8) else 0
-        starts = array("q", [first])
-        starts.extend(match.end() for match in breaks)
-        if starts[-1] != len(source):
-            starts.append(len(source))
-        return starts
-
-    def __getitem__(self, index: int) -> tuple[tuple[str, str], ...]:
-        """The attributes of NDJSON record ``index``; none without keys."""
-        if self.keys == ():
-            return ()
-        if self._starts is None:
-            self._starts = self._line_starts()
-        line = self.ends[index + 1]
-        text = self.source[self._starts[line - 1] : self._starts[line]]
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return tuple(
-            (key, _stringify(value))
-            for key, value in json.loads(text).items()
-            if key != self.label
-        )
+    def rows(self) -> Iterable[tuple[tuple[str, str], ...]]:
+        """The attributes of each record, in record order; endless empty
+        ones where there are no CSV keys."""
+        if self.keys is None:
+            label = self.label
+            return [
+                tuple((key, _stringify(value)) for key, value in obj.items() if key != label)
+                for _, obj in _ndjson_objects(self.source, _text(self.source))
+            ]
+        if not self.keys:
+            return repeat(())
+        return [tuple(zip(self.keys, values)) for values in zip(*self.csv_columns())]
 
     def csv_columns(self) -> list[list[str]]:
         """One value list per CSV attribute key, from one pass of
@@ -160,10 +135,9 @@ class TraceDataset:
     ``table[codes[k - 1]]``.  ``codes`` is an unsigned ``array`` (typecode
     ``B`` up to 256 classes, wider beyond) and ``table`` lists the labels
     in first-appearance order.  A parsed dataset keeps its passthrough
-    attributes in the input it was read from, with the line on which each
-    record ends, and parses a record's attributes only when they are
-    asked for.  ``labels`` and ``records`` are lazy library views built on
-    first access.
+    attributes in the input it was read from and parses them only when
+    they are asked for.  ``labels`` and ``records`` are lazy library views
+    built on first access.
     """
 
     def __init__(self, records: Iterable[PacketRecord]):
@@ -203,14 +177,11 @@ class TraceDataset:
     def records(self) -> tuple[PacketRecord, ...]:
         """One ``PacketRecord`` per record, built on first access."""
         attributes = self._attributes
-        if isinstance(attributes, _SourceRows) and attributes.keys:
-            keys = attributes.keys
-            attributes = [
-                tuple(zip(keys, values)) for values in zip(*attributes.csv_columns())
-            ]
+        if isinstance(attributes, _SourceRows):
+            attributes = attributes.rows()
         return tuple(
-            PacketRecord(position=i, label=label, attributes=attributes[i - 1])
-            for i, label in enumerate(self.labels, start=1)
+            PacketRecord(position=i, label=label, attributes=pairs)
+            for i, (label, pairs) in enumerate(zip(self.labels, attributes), start=1)
         )
 
     @cached_property
@@ -230,12 +201,11 @@ class TraceDataset:
 
         Raises ``ValueError`` when records carry differing key layouts.
         """
-        attributes = self._attributes
-        if isinstance(attributes, _SourceRows) and attributes.keys is not None:
-            if attributes.keys == ():
-                return (), ()
-            return attributes.keys, attributes.csv_columns()
-        rows = [attributes[i] for i in range(self.population)]
+        rows = self._attributes
+        if isinstance(rows, _SourceRows):
+            if rows.keys is not None:  # CSV: every record has the header's keys
+                return rows.keys, rows.csv_columns() if rows.keys else ()
+            rows = rows.rows()
         keys = tuple(key for key, _ in rows[0]) if rows else ()
         if any(tuple(key for key, _ in row) != keys for row in rows):
             raise ValueError("records carry differing attribute layouts")
@@ -330,10 +300,9 @@ def _undecodable(source: bytes) -> InvalidUtf8:
 
 
 def _scanned(scan, source: bytes | str, decode, *args):
-    """The class codes, label table and end lines that a native label
-    scanner reads from ``source``, or ``None`` where there is no scanner,
-    the source is text or the scanner hands the input back to the Python
-    parser.
+    """The class codes and label table that a native label scanner reads
+    from ``source``, or ``None`` where there is no scanner, the source is
+    text or the scanner hands the input back to the Python parser.
 
     Each distinct raw token is decoded and stripped once, and the codes
     of tokens that decode to one label (`` TCP`` and ``TCP``) are merged;
@@ -345,10 +314,10 @@ def _scanned(scan, source: bytes | str, decode, *args):
     scanned = scan(source, *args)
     if scanned is None:
         return None
-    codes, tokens, ends = scanned
+    codes, tokens = scanned
     index: dict[str, int] = {}
     mapping = []
-    for token, _ in tokens:
+    for token in tokens:
         try:
             label = decode(token).strip()
             label.encode("utf-8")
@@ -359,7 +328,7 @@ def _scanned(scan, source: bytes | str, decode, *args):
         mapping.append(index.setdefault(label, len(index)))
     if len(index) < len(mapping):
         codes = _recoded(codes, mapping, len(index))
-    return codes, tuple(index), ends
+    return codes, tuple(index)
 
 
 def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
@@ -379,20 +348,18 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
     label_index = header.index(label_column)
     width = len(header)
     keys = tuple(key for i, key in enumerate(header) if i != label_index)
-    codes, table, ends = _scanned(
+    codes, table = _scanned(
         kernels.scan_csv_labels, source, bytes.decode,
         label_index, width, csv.field_size_limit(),
     ) or _read_csv_labels(source, reader, label_index, width)
-    return TraceDataset._from_codes(
-        codes, table, _SourceRows(source, ends, keys, label_index)
-    )
+    attributes = _SourceRows(source, keys, label_index)
+    return TraceDataset._from_codes(codes, table, attributes)
 
 
 def _read_csv_labels(source, reader, label_index: int, width: int):
-    """The Python CSV parser: class codes, label table and end lines of
-    the rows after the header."""
+    """The Python CSV parser: class codes and label table of the rows
+    after the header."""
     codes: list[int] = []
-    ends = array("q", [reader.line_num])
     index: dict[str, int] = {}
     try:
         for row in reader:
@@ -409,7 +376,6 @@ def _read_csv_labels(source, reader, label_index: int, width: int):
                     f"row {len(codes) + 1} (line {reader.line_num}): blank label"
                 )
             codes.append(index.setdefault(label, len(index)))
-            ends.append(reader.line_num)
     except UnicodeDecodeError:
         raise _undecodable(source) from None
     except csv.Error as exc:
@@ -418,23 +384,20 @@ def _read_csv_labels(source, reader, label_index: int, width: int):
         ) from None
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return _code_array(codes, len(index)), tuple(index), ends
+    return _code_array(codes, len(index)), tuple(index)
 
 
 def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
-    codes, table, ends = _scanned(
+    codes, table = _scanned(
         kernels.scan_ndjson_labels, source, json.loads, label_column
     ) or _read_ndjson_labels(source, text, label_column)
-    return TraceDataset._from_codes(
-        codes, table, _SourceRows(source, ends, None, label_column)
-    )
+    attributes = _SourceRows(source, None, label_column)
+    return TraceDataset._from_codes(codes, table, attributes)
 
 
-def _read_ndjson_labels(source, text: IO[str], label_column: str):
-    """The Python NDJSON parser: class codes, label table and end lines."""
-    codes: list[int] = []
-    ends = array("q", [0])
-    index: dict[str, int] = {}
+def _ndjson_objects(source: bytes | str, text: IO[str]):
+    """The Python NDJSON parser: ``(line number, object)`` for each line of
+    ``text`` that is not blank after ``str.strip()``."""
     try:
         for line_num, line in enumerate(text, start=1):
             if not line.strip():
@@ -455,23 +418,30 @@ def _read_ndjson_labels(source, text: IO[str], label_column: str):
                 ) from None
             if not isinstance(obj, dict):
                 raise MalformedRow(f"line {line_num}: expected a JSON object")
-            if label_column not in obj:
-                raise MissingLabelColumn(
-                    f"line {line_num}: object lacks label column {label_column!r}"
-                )
-            label = _stringify(obj[label_column]).strip()
-            if not label:
-                raise EmptyLabel(f"line {line_num}: blank label")
-            if label not in index:
-                _check_encodable(label, line_num)
-                index[label] = len(index)
-            codes.append(index[label])
-            ends.append(line_num)
+            yield line_num, obj
     except UnicodeDecodeError:
         raise _undecodable(source) from None
+
+
+def _read_ndjson_labels(source, text: IO[str], label_column: str):
+    """The class codes and label table of the Python NDJSON parser."""
+    codes: list[int] = []
+    index: dict[str, int] = {}
+    for line_num, obj in _ndjson_objects(source, text):
+        if label_column not in obj:
+            raise MissingLabelColumn(
+                f"line {line_num}: object lacks label column {label_column!r}"
+            )
+        label = _stringify(obj[label_column]).strip()
+        if not label:
+            raise EmptyLabel(f"line {line_num}: blank label")
+        if label not in index:
+            _check_encodable(label, line_num)
+            index[label] = len(index)
+        codes.append(index[label])
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return _code_array(codes, len(index)), tuple(index), ends
+    return _code_array(codes, len(index)), tuple(index)
 
 
 def _check_encodable(label: str, line_num: int) -> None:
@@ -550,7 +520,7 @@ def synthesize(
         # itself, and one record has nothing to shuffle
         codes = itemgetter(*kernels.permutation(len(codes), seed))(codes)
     codes, table = _renumbered(_code_array(codes, spec.class_count), spec.labels())
-    return TraceDataset._from_codes(codes, table, _SourceRows("", array("q"), (), 0))
+    return TraceDataset._from_codes(codes, table, _SourceRows("", (), 0))
 
 
 def _renumbered(codes: array, table: tuple[str, ...]) -> tuple[array, tuple[str, ...]]:
@@ -568,9 +538,13 @@ def _renumbered(codes: array, table: tuple[str, ...]) -> tuple[array, tuple[str,
 
 
 def parse_histogram_spec(text: str) -> ClassHistogram:
-    """Parse ``label,count`` lines; ``#`` starts a comment, blanks ignored."""
+    """Parse ``label,count`` lines; ``#`` starts a comment, blanks ignored.
+
+    Each count and their total lie below the kernels' ``SIZE_LIMIT``.
+    """
     entries = []
     seen = set()
+    total = 0
     for line_num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -587,6 +561,11 @@ def parse_histogram_spec(text: str) -> ClassHistogram:
             ) from None
         if count < 1:
             raise HistogramSpecError(f"line {line_num}: count must be >= 1")
+        if count >= kernels.SIZE_LIMIT:
+            raise HistogramSpecError(f"line {line_num}: count must be < 2**63")
+        total += count
+        if total >= kernels.SIZE_LIMIT:
+            raise HistogramSpecError(f"line {line_num}: counts must total < 2**63")
         if label in seen:
             raise HistogramSpecError(f"line {line_num}: duplicate label {label!r}")
         seen.add(label)
@@ -597,7 +576,13 @@ def parse_histogram_spec(text: str) -> ClassHistogram:
 
 
 def load_histogram_spec(path: str | Path) -> ClassHistogram:
-    return parse_histogram_spec(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 histogram spec file; a leading BOM is skipped."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise HistogramSpecError(str(_undecodable(data))) from None
+    return parse_histogram_spec(text)
 
 
 def pu_tds_histogram() -> ClassHistogram:

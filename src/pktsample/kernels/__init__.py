@@ -30,6 +30,7 @@ else:
     )
 
 BACKEND = "pure" if _impl is _pure_module else "native"
+SIZE_LIMIT = 2**63  # populations, counts, draws and trials lie below it
 
 derive_seed = _impl.derive_seed
 permutation = _impl.permutation

@@ -502,14 +502,12 @@ done:
 /* --- label scanners ------------------------------------------------------- */
 
 /* scan_csv_labels and scan_ndjson_labels read a whole CSV or NDJSON input
- * once, checking its UTF-8 on the way, and return (codes, tokens, ends):
+ * once, checking its UTF-8 on the way, and return (codes, tokens):
  *   codes   the class code of each record, an array of unsigned ints
  *           ('B', 'H' or 'I', as the number of codes needs);
- *   tokens  code k's raw label token as (bytes, first record), codes in
- *           order of first appearance: the CSV field as the csv module
- *           reads it, or the JSON string literal, quotes included;
- *   ends    array('q'): ends[0] is the line on which the CSV header ends
- *           (0 for NDJSON) and ends[k] the line on which record k ends.
+ *   tokens  a list of bytes, code k's raw label token, codes in order of
+ *           first appearance: the CSV field as the csv module reads it,
+ *           or the JSON string literal, quotes included.
  * Lines end at \r\n, \r or \n, as in TextIOWrapper(newline=""), and a
  * UTF-8 BOM is skipped at offset 0.  A scanner returns None for every
  * input it cannot be sure to read as dataset.py's Python parser does,
@@ -528,9 +526,8 @@ typedef struct {
 
 typedef struct {
     uint32_t *codes;     /* one per record */
-    int64_t *ends;       /* ends[0], then one per record */
     Py_ssize_t records, capacity;
-    PyObject *tokens;    /* list of (bytes, first record) */
+    PyObject *tokens;    /* list of bytes */
     Token *table;        /* code -> token */
     Py_ssize_t distinct;
     uint32_t *slots;     /* open addressing: code + 1, or 0 when empty */
@@ -542,7 +539,6 @@ typedef struct {
 static void scan_free(Scan *scan)
 {
     PyMem_Free(scan->codes);
-    PyMem_Free(scan->ends);
     Py_XDECREF(scan->tokens);
     PyMem_Free(scan->table);
     PyMem_Free(scan->slots);
@@ -555,18 +551,15 @@ static int scan_init(Scan *scan)
     scan->capacity = 1024;
     scan->mask = 63;
     scan->codes = PyMem_Malloc(scan->capacity * sizeof(uint32_t));
-    scan->ends = PyMem_Malloc((scan->capacity + 1) * sizeof(int64_t));
     scan->table = PyMem_Malloc((scan->mask + 1) / 2 * sizeof(Token));
     scan->slots = PyMem_Calloc(scan->mask + 1, sizeof(uint32_t));
     scan->tokens = PyList_New(0);
     if (scan->tokens == NULL)
         return -1;
-    if (scan->codes == NULL || scan->ends == NULL || scan->table == NULL
-        || scan->slots == NULL) {
+    if (scan->codes == NULL || scan->table == NULL || scan->slots == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    scan->ends[0] = 0;
     return 0;
 }
 
@@ -610,9 +603,9 @@ static int scan_grow_table(Scan *scan)
     return 0;
 }
 
-/* Records one more record: its label token and the line it ends on.
+/* Records one more record by its label token.
  * 1 when done, 0 to hand the input over (codes past uint32), -1 on error. */
-static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length, int64_t line)
+static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length)
 {
     uint64_t hash = token_hash(bytes, length);
     size_t k = (size_t)hash & scan->mask;
@@ -636,41 +629,32 @@ static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length, int64_t l
             while (scan->slots[k] != 0)
                 k = (k + 1) & scan->mask;
         }
-        entry = Py_BuildValue("(y#n)", bytes, length, scan->records);
+        entry = PyBytes_FromStringAndSize(bytes, length);
         if (entry == NULL || PyList_Append(scan->tokens, entry) < 0) {
             Py_XDECREF(entry);
             return -1;
         }
-        Py_DECREF(entry);
+        Py_DECREF(entry); /* ``tokens`` holds it */
         token = &scan->table[scan->distinct];
         token->hash = hash;
-        token->bytes = PyBytes_AS_STRING(PyTuple_GET_ITEM(entry, 0));
+        token->bytes = PyBytes_AS_STRING(entry);
         token->length = length;
         slot = scan->slots[k] = (uint32_t)++scan->distinct;
     }
     if (scan->records == scan->capacity) {
         uint32_t *codes;
-        int64_t *ends;
         Py_ssize_t capacity = 2 * scan->capacity;
-        if (capacity > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int64_t) - 1) {
+        codes = capacity > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(uint32_t)
+                    ? NULL
+                    : PyMem_Realloc(scan->codes, capacity * sizeof(uint32_t));
+        if (codes == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        codes = PyMem_Realloc(scan->codes, capacity * sizeof(uint32_t));
-        if (codes != NULL)
-            scan->codes = codes;
-        ends = codes == NULL
-                   ? NULL
-                   : PyMem_Realloc(scan->ends, (capacity + 1) * sizeof(int64_t));
-        if (ends == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        scan->ends = ends;
+        scan->codes = codes;
         scan->capacity = capacity;
     }
     scan->codes[scan->records++] = slot - 1;
-    scan->ends[scan->records] = line;
     return 1;
 }
 
@@ -692,7 +676,7 @@ static PyObject *new_array(const char *typecode, const void *data, Py_ssize_t si
     return array;
 }
 
-/* The scanner's (codes, tokens, ends), each code in the fewest bytes. */
+/* The scanner's (codes, tokens), each code in the fewest bytes. */
 static PyObject *scan_result(Scan *scan)
 {
     Py_ssize_t itemsize = scan->distinct <= 0x100 ? 1 : scan->distinct <= 0x10000 ? 2 : 4;
@@ -700,7 +684,7 @@ static PyObject *scan_result(Scan *scan)
     void *narrow = itemsize == 4 ? (void *)scan->codes
                                  : PyMem_Malloc(scan->records * itemsize);
     Py_ssize_t i;
-    PyObject *codes = NULL, *ends = NULL, *result = NULL;
+    PyObject *codes, *result = NULL;
     if (narrow == NULL)
         return PyErr_NoMemory();
     for (i = 0; itemsize < 4 && i < scan->records; i++) {
@@ -712,13 +696,9 @@ static PyObject *scan_result(Scan *scan)
     codes = new_array(typecode, narrow, scan->records * itemsize);
     if (narrow != scan->codes)
         PyMem_Free(narrow);
-    ends = codes == NULL
-               ? NULL
-               : new_array("q", scan->ends, (scan->records + 1) * sizeof(int64_t));
-    if (ends != NULL)
-        result = PyTuple_Pack(3, codes, scan->tokens, ends);
+    if (codes != NULL)
+        result = PyTuple_Pack(2, codes, scan->tokens);
     Py_XDECREF(codes);
-    Py_XDECREF(ends);
     return result;
 }
 
@@ -787,9 +767,8 @@ static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end
 {
     const unsigned char *field, *label = NULL;
     Py_ssize_t fields, length, label_length = 0, n;
-    int64_t line = 1;
     int quoted, escaped, label_escaped = 0, header = 1, pushed;
-    for (p = skip_bom(p, end); p < end; line++) {
+    for (p = skip_bom(p, end); p < end; ) {
         if (*p == '\r' || *p == '\n') {
             if (header)
                 return 0;
@@ -812,12 +791,7 @@ static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end
                         continue;
                     }
                     break;
-                } else if (*p == '\r' || *p == '\n') {
-                    if (!quoted)
-                        break;
-                    p = skip_break(p, end);
-                    line++;
-                } else if (*p == ',') {
+                } else if (*p == ',' || *p == '\r' || *p == '\n') {
                     if (!quoted)
                         break;
                     p++;
@@ -848,7 +822,6 @@ static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end
             p = skip_break(p, end);
         }
         if (header) {
-            scan->ends[0] = line;
             header = 0;
             continue;
         }
@@ -873,7 +846,7 @@ static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end
             label = (const unsigned char *)scan->scratch;
             label_length = j;
         }
-        if ((pushed = scan_push(scan, (const char *)label, label_length, line)) <= 0)
+        if ((pushed = scan_push(scan, (const char *)label, label_length)) <= 0)
             return pushed;
     }
     return scan->records > 0;
@@ -1053,17 +1026,15 @@ static int ndjson_scan(Scan *scan, const unsigned char *p, const unsigned char *
                        const char *key, Py_ssize_t key_length)
 {
     const unsigned char *label, *label_end;
-    int64_t line = 0;
     int pushed;
     for (p = skip_bom(p, end); p < end; ) {
-        line++;
         json_space(&p, end);
         if (p < end && *p == '{') {
             label = NULL;
             if (!json_container(&p, end, 1, key, key_length, &label, &label_end)
                 || label == NULL)
                 return 0;
-            pushed = scan_push(scan, (const char *)label, label_end - label, line);
+            pushed = scan_push(scan, (const char *)label, label_end - label);
             if (pushed <= 0)
                 return pushed;
             json_space(&p, end);
@@ -1162,11 +1133,9 @@ static PyMethodDef module_methods[] = {
            "Stable counting sort of class codes: per-code counts and the 1-based "
            "positions grouped by code."),
     KERNEL(scan_csv_labels,
-           "Class codes, distinct label tokens and end lines of a CSV input, "
-           "or None."),
+           "Class codes and distinct label tokens of a CSV input, or None."),
     KERNEL(scan_ndjson_labels,
-           "Class codes, distinct label tokens and end lines of an NDJSON input, "
-           "or None."),
+           "Class codes and distinct label tokens of an NDJSON input, or None."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -30,9 +30,9 @@ from typing import Callable, Iterable
 from pktsample import kernels
 from pktsample.dataset import TraceDataset, _encoded
 from pktsample.errors import EmptyDataset, TargetExceedsPopulation
+from pktsample.kernels import SIZE_LIMIT
 
 SIZE_PARAMETERS = ("n", "interval", "k")
-SIZE_LIMIT = 2**63  # sizes lie below the kernels' bound
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktsample.cli import main, parse_run_matrix
+from pktsample.dataset import parse_histogram_spec
 from pktsample.samplers import FAMILIES, SampleSpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,6 +101,46 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys):
     bad.write_text("TCP,zero\n", encoding="utf-8")
     assert main(["synth", "--histogram", str(bad), "--out", "-"]) == 2
     assert main(["synth", "--histogram", str(tmp_path / "nope.hist")]) == 2
+
+
+def test_spec_and_runs_files_skip_byte_order_mark(tmp_path, capsys):
+    """A histogram spec or a runs file saved with a BOM reads as the same
+    file without one: equal synth bytes and an equal comparison."""
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        spec = tmp_path / "spec.hist"
+        spec.write_bytes(bom + b"TCP,3\nARP,2\n")
+        out = tmp_path / f"synth{len(bom)}.csv"
+        assert main(["synth", "--histogram", str(spec), "--out", str(out)]) == 0
+        runs = tmp_path / "runs.txt"
+        runs.write_bytes(bom + b"random n=2\n")
+        assert main(["compare", "--input", str(out), "--runs", str(runs)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert codecs.BOM_UTF8 not in outputs[1][0]
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"TCP,3\nA\xff,2\n", "line 2: input is not valid UTF-8"),
+        (b"TCP,%d\n" % 2**63, "line 1: count must be < 2**63"),
+        (b"TCP,99999999999999999999\n", "line 1: count must be < 2**63"),
+        (b"TCP,%d\n# x\nARP,%d\n" % (2**62, 2**62), "line 3: counts must total < 2**63"),
+    ],
+)
+def test_synth_bad_spec_is_one_error_line(data, message, tmp_path, capsys):
+    spec = tmp_path / "bad.hist"
+    spec.write_bytes(data)
+    assert main(["synth", "--histogram", str(spec), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pktsample: error: {message}\n"
+
+
+def test_spec_total_below_2_63_parses():
+    spec = parse_histogram_spec(f"TCP,{2**62}\nARP,{2**62 - 1}\n")
+    assert spec.total == 2**63 - 1
 
 
 # --- analyze -----------------------------------------------------------------
@@ -218,14 +259,13 @@ def test_commands_build_no_record_objects(name, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
 def test_commands_parse_no_attributes(name, tmp_path, monkeypatch, capsys):
     """CLI commands never parse a record's attributes: the attribute
-    parsers and the line offsets they need fail the command if called."""
+    passes fail the command if called."""
     from pktsample.dataset import _SourceRows
 
     def no_attributes(*args, **kwargs):
         raise AssertionError("a CLI path parsed record attributes")
 
-    monkeypatch.setattr(_SourceRows, "__getitem__", no_attributes)
-    monkeypatch.setattr(_SourceRows, "_line_starts", no_attributes)
+    monkeypatch.setattr(_SourceRows, "rows", no_attributes)
     monkeypatch.setattr(_SourceRows, "csv_columns", no_attributes)
     _run_every_command(name, tmp_path)
 
