@@ -5,7 +5,8 @@ Workflow commands: ``synth`` (histogram spec -> dataset), ``analyze``
 ``compare`` (dataset + run matrix -> comparison table), ``oracle``
 (dataset -> missing-class series, observed vs analytic).
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage/config error.
+Exit codes: 0 success, 1 runtime/data error, 2 usage/config error;
+``main`` alone maps errors to codes and prints the one error line.
 Every randomized command takes ``--seed`` (default 0) and is
 bit-reproducible for equal invocations; no command mutates its input.
 """
@@ -19,12 +20,13 @@ from pathlib import Path
 from pktsample import __version__, kernels
 from pktsample.dataset import (
     DEFAULT_LABEL_COLUMN,
+    _undecodable,
     histogram,
     load_dataset,
     load_histogram_spec,
     synthesize,
 )
-from pktsample.errors import HistogramSpecError, PktSampleError
+from pktsample.errors import PktSampleError, UsageError
 from pktsample.metrics import (
     class_report,
     expected_missing_series,
@@ -65,14 +67,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _bad_decimals(args) -> bool:
+def _decimals(args) -> int:
     if args.decimals < 0:
-        _error("--decimals must be >= 0")
-        return True
+        raise UsageError("--decimals must be >= 0")
     if args.decimals > MAX_DECIMALS:
-        _error(f"--decimals must be <= {MAX_DECIMALS}")
-        return True
-    return False
+        raise UsageError(f"--decimals must be <= {MAX_DECIMALS}")
+    return args.decimals
 
 
 def _load_input(args):
@@ -144,12 +144,11 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
     return specs
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     try:
         spec = load_histogram_spec(args.histogram)
     except FileNotFoundError:
-        _error(f"histogram spec not found: {args.histogram}")
-        return 2
+        raise UsageError(f"histogram spec not found: {args.histogram}") from None
     dataset = synthesize(spec, seed=args.seed, arrangement=args.arrangement)
     _write_text(args.out, dataset_to_csv(dataset))
     print(
@@ -157,113 +156,91 @@ def cmd_synth(args) -> int:
         f"seed={args.seed} arrangement={args.arrangement}",
         file=sys.stderr,
     )
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    if _bad_decimals(args):
-        return 2
+def cmd_analyze(args) -> None:
+    decimals = _decimals(args)
     _, hist = _load_input(args)
-    report = identity_report(hist, display_decimals=args.decimals)
-    _write_text(args.out, render_table(report, format=args.format))
-    return 0
+    report = identity_report(hist)
+    _write_text(args.out, render_table(report, format=args.format, decimals=decimals))
 
 
-def cmd_sample(args) -> int:
-    if _bad_decimals(args):
-        return 2
+def cmd_sample(args) -> None:
+    decimals = _decimals(args)
     try:
         spec = _build_spec(
             args.family, args.seed, n=args.n, interval=args.interval, k=args.k,
             with_replacement=args.with_replacement,
         )
     except ValueError as exc:
-        _error(str(exc))
-        return 2
+        raise UsageError(str(exc)) from None
     dataset, hist = _load_input(args)
     result = draw(dataset, spec)
     _write_text(args.out, render_sample_csv(result))
-    report = class_report(hist, result, display_decimals=args.decimals)
-    rendered = render_table(report, format=args.format)
+    report = class_report(hist, result)
+    rendered = render_table(report, format=args.format, decimals=decimals)
     if args.report is not None:
         _write_text(args.report, rendered)
     elif args.out != "-":
         sys.stdout.write(rendered)
-    return 0
 
 
-def cmd_compare(args) -> int:
-    if _bad_decimals(args):
-        return 2
+def cmd_compare(args) -> None:
+    decimals = _decimals(args)
     try:
-        runs_text = Path(args.runs).read_text(encoding="utf-8-sig")
-        specs = parse_run_matrix(runs_text, default_seed=args.seed)
+        data = Path(args.runs).read_bytes()
     except FileNotFoundError:
-        _error(f"runs file not found: {args.runs}")
-        return 2
+        raise UsageError(f"runs file not found: {args.runs}") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise UsageError(f"runs {_undecodable(data)}") from None
+    try:
+        specs = parse_run_matrix(text, default_seed=args.seed)
     except ValueError as exc:
-        _error(str(exc))
-        return 2
+        raise UsageError(str(exc)) from None
     dataset, hist = _load_input(args)
-    reports = [
-        class_report(hist, draw(dataset, spec), display_decimals=args.decimals)
-        for spec in specs
-    ]
+    reports = [class_report(hist, draw(dataset, spec)) for spec in specs]
     matrix = ComparisonMatrix.from_reports(reports)
-    _write_text(args.out, render_table(matrix, format=args.format, decimals=args.decimals))
-    return 0
+    _write_text(args.out, render_table(matrix, format=args.format, decimals=decimals))
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     try:
         n_values = [int(part) for part in args.n.split(",") if part.strip()]
     except ValueError:
-        _error(f"--n must be a comma-separated list of integers: {args.n!r}")
-        return 2
+        raise UsageError(
+            f"--n must be a comma-separated list of integers: {args.n!r}"
+        ) from None
     if not n_values or any(n < 1 for n in n_values):
-        _error("--n values must be >= 1")
-        return 2
+        raise UsageError("--n values must be >= 1")
     if max(n_values) >= SIZE_LIMIT:
-        _error("--n values must be < 2**63")
-        return 2
+        raise UsageError("--n values must be < 2**63")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        _error("--n values must be strictly increasing")
-        return 2
+        raise UsageError("--n values must be strictly increasing")
     if args.trials < 1:
-        _error("--trials must be >= 1")
-        return 2
+        raise UsageError("--trials must be >= 1")
     if args.trials >= SIZE_LIMIT:
-        _error("--trials must be < 2**63")
-        return 2
+        raise UsageError("--trials must be < 2**63")
     dataset, hist = _load_input(args)
     if not args.with_replacement and max(n_values) > dataset.population:
-        _error(
+        raise UsageError(
             f"--n values must not exceed the population "
             f"({dataset.population}) without replacement"
         )
-        return 2
     series = []
-    for index, n in enumerate(n_values):
-        trial_counts = mc_missing_class_counts(
+    expected = expected_missing_series(hist, n_values, args.with_replacement)
+    for index, (n, value) in enumerate(expected):
+        counts = mc_missing_class_counts(
             hist,
             n,
             trials=args.trials,
             seed=kernels.derive_seed(args.seed, index),
             with_replacement=args.with_replacement,
         )
-        observed: float | int
-        if args.trials == 1:
-            observed = trial_counts[0]
-        else:
-            observed = sum(trial_counts) / len(trial_counts)
-        series.append((n, observed, None))
-    expected = expected_missing_series(hist, n_values, args.with_replacement)
-    series = [
-        (n, observed, value)
-        for (n, observed, _), (_, value) in zip(series, expected)
-    ]
+        observed = counts[0] if args.trials == 1 else sum(counts) / len(counts)
+        series.append((n, observed, value))
     _write_text(args.out, missing_series_export(series))
-    return 0
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -368,19 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except HistogramSpecError as exc:
+        args.func(args)
+    except UsageError as exc:
         _error(str(exc))
         return 2
-    except PktSampleError as exc:
+    except (PktSampleError, OSError) as exc:
         _error(str(exc))
         return 1
-    except OSError as exc:
-        _error(str(exc))
-        return 1
+    return 0
 
 
 def run() -> None:

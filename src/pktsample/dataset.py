@@ -280,10 +280,13 @@ def histogram(dataset: TraceDataset) -> ClassHistogram:
     return dataset._histogram
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def _stringify(value: object) -> str:
     if isinstance(value, str):
         return value
-    return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+    return _encode(value)
 
 
 def _undecodable(source: bytes) -> InvalidUtf8:

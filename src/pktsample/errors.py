@@ -1,7 +1,9 @@
 """Exception hierarchy for pktsample.
 
-Contract violations raise dedicated subclasses so callers (and the CLI
-exit-code mapping) can tell data problems from configuration problems.
+Contract violations raise dedicated subclasses so callers can tell data
+problems from configuration problems.  The CLI exits 2 on a
+``UsageError`` (a bad flag, spec or runs file) and 1 on any other
+``PktSampleError``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ class ZeroTotal(PktSampleError):
     """A histogram spec with zero total cannot be synthesized."""
 
 
-class HistogramSpecError(PktSampleError):
-    """A histogram spec file is malformed (configuration error)."""
+class UsageError(PktSampleError):
+    """A flag, spec or runs file the user gave is invalid (exit code 2)."""
+
+
+class HistogramSpecError(UsageError):
+    """A histogram spec file is malformed."""
 
 
 class ZeroPopulation(PktSampleError):

@@ -54,7 +54,6 @@ class ImbalanceReport:
     imbalance_ratio: float
     source_population: int
     spec: SampleSpec | None = None
-    display_decimals: int = 3
 
     @property
     def missing_count(self) -> int:
@@ -143,7 +142,6 @@ def stratified_totals(
 def _report_from_counts(
     source_histogram: ClassHistogram,
     sampled_counts: dict[str, int],
-    display_decimals: int,
     spec: SampleSpec | None,
 ) -> ImbalanceReport:
     total = sum(sampled_counts.values())
@@ -173,14 +171,11 @@ def _report_from_counts(
         imbalance_ratio=ratio,
         source_population=population,
         spec=spec,
-        display_decimals=display_decimals,
     )
 
 
 def class_report(
-    source_histogram: ClassHistogram,
-    sample: SampleResult,
-    display_decimals: int = 3,
+    source_histogram: ClassHistogram, sample: SampleResult
 ) -> ImbalanceReport:
     """Per-class analysis of a sample against its source histogram."""
     known = set(source_histogram.labels())
@@ -190,18 +185,12 @@ def class_report(
             raise UnknownLabelInSample(
                 f"sample contains label {label!r} absent from the source"
             )
-    return _report_from_counts(
-        source_histogram, counts, display_decimals, sample.spec
-    )
+    return _report_from_counts(source_histogram, counts, sample.spec)
 
 
-def identity_report(
-    source_histogram: ClassHistogram, display_decimals: int = 3
-) -> ImbalanceReport:
+def identity_report(source_histogram: ClassHistogram) -> ImbalanceReport:
     """Report for the identity sample (the whole dataset)."""
-    return _report_from_counts(
-        source_histogram, source_histogram.as_dict(), display_decimals, None
-    )
+    return _report_from_counts(source_histogram, source_histogram.as_dict(), None)
 
 
 def _log_choose(total: int, taken: int) -> float:

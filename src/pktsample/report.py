@@ -1,10 +1,12 @@
 """Rendering: markdown tables, CSV, and a versioned JSON envelope.
 
-Display rounding is half-up at a configurable number of decimals
-(default 3); probability columns get two extra places so the default
-report shows 5-decimal probabilities.  JSON output always carries full
-precision.  All text output uses LF line endings and RFC-4180-style
-quoting so byte-identical golden files hold on every platform.
+Display rounding is half-up at ``render_table``'s ``decimals``
+(default 3), the one rounding knob; probability columns get two extra
+places so the default report shows 5-decimal probabilities.  JSON
+output always carries full precision.  All text output uses LF line
+endings, and every CSV goes through ``_csv_text``, one ``csv.writer``
+with RFC-4180-style quoting, so byte-identical golden files hold on
+every platform.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 
 from pktsample.dataset import TraceDataset
 from pktsample.errors import EmptySeries, NonMonotonicAxis
@@ -128,6 +130,13 @@ def _run_line(spec: SampleSpec | None) -> str:
     return spec.describe() if spec is not None else "identity (full dataset)"
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text: the csv module's quoting, LF line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _md_cell(text: str) -> str:
     """Text for a markdown table cell: a ``|`` would start a new cell."""
     return text.replace("|", "\\|")
@@ -158,14 +167,10 @@ def _report_markdown(report: ImbalanceReport, decimals: int) -> str:
 
 
 def _report_csv(report: ImbalanceReport, decimals: int) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    return _csv_text([
         ["label", "source_count", "sampled_count", "sampled_percent",
-         "selection_probability"]
-    )
-    for row in report.per_class:
-        writer.writerow(
+         "selection_probability"],
+        *(
             [
                 row.label,
                 row.source_count,
@@ -173,8 +178,9 @@ def _report_csv(report: ImbalanceReport, decimals: int) -> str:
                 format_decimal(row.sampled_percent, decimals),
                 format_decimal(row.selection_probability, decimals + 2),
             ]
-        )
-    return out.getvalue()
+            for row in report.per_class
+        ),
+    ])
 
 
 def _source_json(report: ImbalanceReport) -> dict:
@@ -238,18 +244,14 @@ def _matrix_markdown(matrix: ComparisonMatrix, decimals: int) -> str:
 
 
 def _matrix_csv(matrix: ComparisonMatrix, decimals: int) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["protocol"] + [c.title for c in matrix.columns])
-    for r, label in enumerate(matrix.row_labels):
-        writer.writerow(
-            [label]
-            + [format_decimal(c.percents[r], decimals) for c in matrix.columns]
-        )
-    writer.writerow(
-        ["missing_classes"] + [str(c.missing_count) for c in matrix.columns]
-    )
-    return out.getvalue()
+    return _csv_text([
+        ["protocol"] + [c.title for c in matrix.columns],
+        *(
+            [label] + [format_decimal(c.percents[r], decimals) for c in matrix.columns]
+            for r, label in enumerate(matrix.row_labels)
+        ),
+        ["missing_classes"] + [str(c.missing_count) for c in matrix.columns],
+    ])
 
 
 def _matrix_json(matrix: ComparisonMatrix) -> str:
@@ -283,11 +285,13 @@ def _matrix_json(matrix: ComparisonMatrix) -> str:
 def render_table(
     table: ImbalanceReport | ComparisonMatrix,
     format: str = "markdown",
-    decimals: int | None = None,
+    decimals: int = 3,
 ) -> str:
-    """Render a report or comparison; deterministic bytes for equal input."""
+    """Render a report or comparison; deterministic bytes for equal input.
+
+    ``decimals`` is the one display-rounding knob; JSON ignores it.
+    """
     if isinstance(table, ImbalanceReport):
-        decimals = table.display_decimals if decimals is None else decimals
         if format == "markdown":
             return _report_markdown(table, decimals)
         if format == "csv":
@@ -295,7 +299,6 @@ def render_table(
         if format == "json":
             return _report_json(table)
     elif isinstance(table, ComparisonMatrix):
-        decimals = 3 if decimals is None else decimals
         if format == "markdown":
             return _matrix_markdown(table, decimals)
         if format == "csv":
@@ -325,18 +328,11 @@ def missing_series_export(
     for left, right in zip(xs, xs[1:]):
         if right <= left:
             raise NonMonotonicAxis(f"x-values must strictly increase ({left} !< {right})")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "observed_missing", "expected_missing"])
-    for x, observed, expected in series:
-        writer.writerow([x, _series_cell(observed), _series_cell(expected)])
-    return out.getvalue()
-
-
-def _csv_row(row: list[str]) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(row)
-    return out.getvalue()
+    return _csv_text([
+        ["x", "observed_missing", "expected_missing"],
+        *([x, _series_cell(observed), _series_cell(expected)]
+          for x, observed, expected in series),
+    ])
 
 
 def render_sample_csv(result: SampleResult) -> str:
@@ -350,7 +346,7 @@ def render_sample_csv(result: SampleResult) -> str:
     """
     classes = len(result.table)
     cells = [
-        _csv_row(["", label, flag])
+        _csv_text([["", label, flag]])
         for flag in ("false", "true")
         for label in result.table
     ]
@@ -359,7 +355,7 @@ def render_sample_csv(result: SampleResult) -> str:
         keys = [code + classes * flag for code, flag in zip(keys, result.synthetic)]
     rows = (str(position) + cells[key] for position, key in zip(result.positions, keys))
     chunks = iter(lambda: "".join(islice(rows, _JOIN_ROWS)), "")
-    return "".join([_csv_row(["source_position", "label", "synthetic"]), *chunks])
+    return "".join([_csv_text([["source_position", "label", "synthetic"]]), *chunks])
 
 
 def dataset_to_csv(dataset: TraceDataset) -> str:
@@ -374,13 +370,8 @@ def dataset_to_csv(dataset: TraceDataset) -> str:
     column_of = dict(zip(keys, columns))
     extra = [key for key in keys if key not in ("No.", "Protocol")]
     numbers = column_of.get("No.", range(1, dataset.population + 1))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["No.", "Protocol"] + extra)
-    writer.writerows(
-        zip(numbers, dataset.labels, *(column_of[key] for key in extra))
-    )
-    return out.getvalue()
+    rows = zip(numbers, dataset.labels, *(column_of[key] for key in extra))
+    return _csv_text(chain([["No.", "Protocol"] + extra], rows))
 
 
 def report_schema() -> dict:

@@ -96,11 +96,22 @@ def test_synth_is_byte_identical_for_equal_seed(hist_path, tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def assert_usage_error(argv: list[str], message: str, capsys) -> None:
+    """``main(argv)`` exits 2 with nothing on stdout and one error line."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pktsample: error: {message}\n"
+
+
 def test_synth_bad_spec_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.hist"
     bad.write_text("TCP,zero\n", encoding="utf-8")
-    assert main(["synth", "--histogram", str(bad), "--out", "-"]) == 2
-    assert main(["synth", "--histogram", str(tmp_path / "nope.hist")]) == 2
+    assert_usage_error(["synth", "--histogram", str(bad), "--out", "-"],
+                       "line 1: bad count 'zero'", capsys)
+    missing = tmp_path / "nope.hist"
+    assert_usage_error(["synth", "--histogram", str(missing)],
+                       f"histogram spec not found: {missing}", capsys)
 
 
 def test_spec_and_runs_files_skip_byte_order_mark(tmp_path, capsys):
@@ -199,6 +210,10 @@ def test_analyze_invalid_utf8_exits_1_with_one_line(tmp_path, capsys):
         ["compare", "--runs", "RUNS", "--decimals", "-1"],
         ["oracle", "--n", "5", "--trials", "0"],
         ["oracle", "--n", "5", "--trials", "-3"],
+        ["oracle", "--n", "abc"],
+        ["oracle", "--n", "0"],
+        ["oracle", "--n", "40000"],  # above the population
+        ["oracle", "--n", "500,400"],
     ],
 )
 def test_out_of_range_flags_exit_2(argv, tmp_path, capsys):
@@ -477,11 +492,16 @@ def test_compare_single_run(pu_csv, tmp_path, capsys):
 
 def test_compare_bad_runs_file_exits_2(pu_csv, tmp_path, capsys):
     runs = tmp_path / "runs.txt"
-    runs.write_text("warpdrive x=1\n", encoding="utf-8")
-    assert main(["compare", "--input", str(pu_csv), "--runs", str(runs)]) == 2
-    runs.write_text("", encoding="utf-8")
-    assert main(["compare", "--input", str(pu_csv), "--runs", str(runs)]) == 2
-    assert main(["compare", "--input", str(pu_csv), "--runs", "/no/such"]) == 2
+    argv = ["compare", "--input", str(pu_csv), "--runs", str(runs)]
+    for data, message in [
+        (b"warpdrive x=1\n", "runs line 1: unknown family 'warpdrive'"),
+        (b"", "runs file contains no runs"),
+        (b"random n=5\nrandom n=\xff\n", "runs line 2: input is not valid UTF-8"),
+    ]:
+        runs.write_bytes(data)
+        assert_usage_error(argv, message, capsys)
+    runs.unlink()
+    assert_usage_error(argv, f"runs file not found: {runs}", capsys)
 
 
 def test_parse_run_matrix():
@@ -671,13 +691,6 @@ def test_oracle_mean_over_trials(pu_csv, capsys):
     row = capsys.readouterr().out.strip().split("\n")[1]
     observed = float(row.split(",")[1])
     assert 7.0 < observed < 10.0
-
-
-def test_oracle_bad_n_exits_2(pu_csv, capsys):
-    assert main(["oracle", "--input", str(pu_csv), "--n", "abc"]) == 2
-    assert main(["oracle", "--input", str(pu_csv), "--n", "0"]) == 2
-    assert main(["oracle", "--input", str(pu_csv), "--n", "40000"]) == 2
-    assert main(["oracle", "--input", str(pu_csv), "--n", "500,400"]) == 2
 
 
 # --- malformed inputs and flags ------------------------------------------------

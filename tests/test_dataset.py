@@ -160,8 +160,8 @@ def _eager_records(text: str, format: str, label_column: str):
     [
         (WIRESHARK_CSV, "csv", "Protocol"),
         ('a,proto,a\r\n1," UDP ","x\ny"\r\n\r\n2,DNS,\r\n', "csv", "proto"),
-        ('{"p": 1, "v": {"k": [1, "é"]}, "w": null}\n\n{"w": "s", "p": "ARP "}\n',
-         "ndjson", "p"),
+        ('{"p": 1, "v": {"k": [1, "é"]}, "w": null}\n\n'
+         '{"w": "s", "p": "ARP ", "f": 1.5, "b": true}\n', "ndjson", "p"),
     ],
 )
 def test_lazy_records_match_eager_parse(text, format, label_column):

@@ -114,7 +114,7 @@ def test_stratified_totals_zeros():
 # --- class_report -------------------------------------------------------------
 
 def test_identity_report_matches_source_shares(pu_hist):
-    report = identity_report(pu_hist, display_decimals=5)
+    report = identity_report(pu_hist)
     assert report.total_sampled == 30000
     assert report.size_percent == 100.0
     assert report.missing_count == 0

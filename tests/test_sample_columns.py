@@ -113,7 +113,7 @@ def reference_class_report(source_histogram, spec, entries):
             raise UnknownLabelInSample(
                 f"sample contains label {entry.label!r} absent from the source"
             )
-    return _report_from_counts(source_histogram, reference_label_counts(entries), 3, spec)
+    return _report_from_counts(source_histogram, reference_label_counts(entries), spec)
 
 
 def reference_render(entries) -> str:
