@@ -5,7 +5,8 @@ Workflow commands: ``synth`` (histogram spec -> dataset), ``analyze``
 ``compare`` (dataset + run matrix -> comparison table), ``oracle``
 (dataset -> missing-class series, observed vs analytic).
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage/config error;
+Exit codes: 0 success, 1 runtime/data error (running out of memory
+included), 2 usage/config error;
 ``main`` alone maps errors to codes and prints the one error line.
 Every randomized command takes ``--seed`` (default 0) and is
 bit-reproducible for equal invocations; no command mutates its input.
@@ -353,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PktSampleError, OSError) as exc:
         _error(str(exc))
+        return 1
+    except MemoryError:
+        _error("out of memory")
         return 1
     return 0
 

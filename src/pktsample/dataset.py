@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
@@ -101,20 +100,12 @@ class _SourceRows:
         return columns
 
 
-def _code_array(codes: Iterable[int], nclasses: int) -> array:
-    """Class codes in the narrowest unsigned ``array`` that holds
-    ``nclasses`` codes, as the native label scanners return them."""
-    if nclasses <= 0x100:
-        return array("B", bytes(codes))  # bytes() converts a list of ints in C
-    return array("H" if nclasses <= 0x10000 else "I", codes)
-
-
 def _encoded(labels: Iterable[str]) -> tuple[array, tuple[str, ...]]:
     """The class code of each label and the label table, labels in
     first-appearance order."""
     index: dict[str, int] = {}
     codes = [index.setdefault(label, len(index)) for label in labels]
-    return _code_array(codes, len(index)), tuple(index)
+    return kernels.code_array(codes, len(index)), tuple(index)
 
 
 def _recoded(codes: array, mapping: Sequence[int], nclasses: int) -> array:
@@ -124,7 +115,7 @@ def _recoded(codes: array, mapping: Sequence[int], nclasses: int) -> array:
         recoded = array("B")
         recoded.frombytes(codes.tobytes().translate(bytes(mapping).ljust(256, b"\0")))
         return recoded
-    return _code_array([mapping[code] for code in codes], nclasses)
+    return kernels.code_array([mapping[code] for code in codes], nclasses)
 
 
 class TraceDataset:
@@ -387,7 +378,7 @@ def _read_csv_labels(source, reader, label_index: int, width: int):
         ) from None
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return _code_array(codes, len(index)), tuple(index)
+    return kernels.code_array(codes, len(index)), tuple(index)
 
 
 def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
@@ -444,7 +435,7 @@ def _read_ndjson_labels(source, text: IO[str], label_column: str):
         codes.append(index[label])
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return _code_array(codes, len(index)), tuple(index)
+    return kernels.code_array(codes, len(index)), tuple(index)
 
 
 def _check_encodable(label: str, line_num: int) -> None:
@@ -515,14 +506,13 @@ def synthesize(
         raise ZeroTotal("histogram spec has zero total")
     if arrangement not in ("shuffled", "grouped"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
-    codes: list[int] = []
-    for code, count in enumerate(spec.counts()):
-        codes += [code] * count
-    if arrangement == "shuffled" and len(codes) > 1:
-        # itemgetter gathers in C; given one index it returns the item
-        # itself, and one record has nothing to shuffle
-        codes = itemgetter(*kernels.permutation(len(codes), seed))(codes)
-    codes, table = _renumbered(_code_array(codes, spec.class_count), spec.labels())
+    if arrangement == "shuffled":
+        codes = kernels.shuffled_codes(spec.counts(), seed)
+    else:
+        codes = kernels.code_array([], spec.class_count)
+        for code, count in enumerate(spec.counts()):
+            codes += array(codes.typecode, [code]) * count
+    codes, table = _renumbered(codes, spec.labels())
     return TraceDataset._from_codes(codes, table, _SourceRows("", (), 0))
 
 

@@ -37,6 +37,9 @@ permutation = _impl.permutation
 sample_without_replacement = _impl.sample_without_replacement
 sample_with_replacement = _impl.sample_with_replacement
 group_by_code = _impl.group_by_code
+shuffled_codes = _impl.shuffled_codes
+csv_rows = _impl.csv_rows
+code_array = _pure_module.code_array  # the code typecode both backends return
 # Label scanners exist only in C; without them ``pktsample.dataset`` parses
 # with its Python parser, which is also the reference the scanners follow.
 scan_csv_labels = None if _impl is _pure_module else _impl.scan_csv_labels

@@ -9,6 +9,14 @@
  * [0, 2**63), else ValueError; seeds and indices are any ints, taken
  * modulo 2**64; an Rng bound lies in [1, 2**64), else ValueError.
  *
+ * Kernels with a pure twin:
+ *   derive_seed, Rng, permutation     the SplitMix64 stream and its shuffle
+ *   sample_without_replacement,       uniform draws of 1-based positions
+ *   sample_with_replacement
+ *   class_count_trials                per-class counts of Monte Carlo trials
+ *   group_by_code                     histogram and strata of a code column
+ *   shuffled_codes                    a synthesized dataset's code column
+ *   csv_rows                          a head and one CSV row per code, as one str
  * It also holds the CSV and NDJSON label scanners, which have no pure
  * twin: dataset.py's Python parser reads what they hand back.
  */
@@ -402,6 +410,23 @@ done:
     return rows;
 }
 
+/* ``obj``'s items as a one-dimensional buffer whose format is one of the
+ * characters of ``formats``, else TypeError ``message``; release ``view``
+ * afterwards when this succeeds. */
+static int get_column(PyObject *obj, Py_buffer *view, const char *formats,
+                      const char *message)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->ndim != 1 || view->format == NULL || view->format[0] == '\0'
+        || view->format[1] != '\0' || strchr(formats, view->format[0]) == NULL) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError, message);
+        return -1;
+    }
+    return 0;
+}
+
 /* Code ``i`` of a buffer of ``itemsize``-byte unsigned ints. */
 static uint64_t code_at(const char *codes, Py_ssize_t itemsize, Py_ssize_t i)
 {
@@ -425,13 +450,13 @@ static uint64_t code_at(const char *codes, Py_ssize_t itemsize, Py_ssize_t i)
     }
 }
 
-/* array('q') of ``length`` zeros, its items exported writable to ``view``. */
-static PyObject *zero_positions(Py_ssize_t length, Py_buffer *view)
+/* array(typecode) of ``length`` zeros, its items exported writable to ``view``. */
+static PyObject *zero_array(const char *typecode, Py_ssize_t length, Py_buffer *view)
 {
     PyObject *module = PyImport_ImportModule("array"), *one, *zeros = NULL;
     if (module == NULL)
         return NULL;
-    one = PyObject_CallMethod(module, "array", "s[i]", "q", 0);
+    one = PyObject_CallMethod(module, "array", "s[i]", typecode, 0);
     Py_DECREF(module);
     if (one != NULL)
         zeros = PySequence_Repeat(one, length);
@@ -454,14 +479,9 @@ static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwarg
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:group_by_code", kwlist,
                                      &codes_arg, &nclasses_arg)
         || as_size(nclasses_arg, "nclasses", &nclasses) < 0
-        || PyObject_GetBuffer(codes_arg, &codes, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        || get_column(codes_arg, &codes, "BHILQ",
+                      "codes must be a one-dimensional buffer of unsigned ints") < 0)
         return NULL;
-    if (codes.ndim != 1 || codes.format == NULL || codes.format[0] == '\0'
-        || codes.format[1] != '\0' || strchr("BHILQ", codes.format[0]) == NULL) {
-        PyErr_SetString(PyExc_TypeError,
-                        "codes must be a one-dimensional buffer of unsigned ints");
-        goto done;
-    }
     records = codes.len / codes.itemsize;
     for (i = 0; i < records; i++) {
         code = code_at(codes.buf, codes.itemsize, i);
@@ -483,7 +503,7 @@ static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwarg
         set_int(&counts, i, starts[i + 1]);
     for (i = 0; i < nclasses; i++)
         starts[i + 1] += starts[i];
-    if (counts == NULL || (positions = zero_positions(records, &out)) == NULL)
+    if (counts == NULL || (positions = zero_array("q", records, &out)) == NULL)
         goto done;
     position = out.buf;
     for (i = 0; i < records; i++)
@@ -497,6 +517,258 @@ done:
     Py_XDECREF(counts);
     Py_XDECREF(positions);
     return result;
+}
+
+/* --- synthesis and CSV rows ---------------------------------------------- */
+
+/* ``permutation``'s swaps applied to ``total`` items of ``itemsize`` bytes,
+ * so item i ends as the item at ``permutation(total, seed)[i]``. */
+static void shuffle(char *items, Py_ssize_t itemsize, int64_t total, uint64_t state)
+{
+    int64_t i, j;
+    uint8_t *u8 = (uint8_t *)items, t8;
+    uint16_t *u16 = (uint16_t *)items, t16;
+    uint32_t *u32 = (uint32_t *)items, t32;
+    for (i = total - 1; i > 0; i--) {
+        j = (int64_t)randbelow(&state, (uint64_t)i + 1);
+        switch (itemsize) {
+        case 1:
+            t8 = u8[i], u8[i] = u8[j], u8[j] = t8;
+            break;
+        case 2:
+            t16 = u16[i], u16[i] = u16[j], u16[j] = t16;
+            break;
+        default:
+            t32 = u32[i], u32[i] = u32[j], u32[j] = t32;
+        }
+    }
+}
+
+/* The grouped codes (counts[c] records of class c, classes in order) with
+ * ``permutation``'s swaps applied in place: no Python int per record.
+ * Like pure.py, whose twin holds one 8-byte list item per record, it
+ * raises MemoryError for more than PY_SSIZE_T_MAX / 8 records before
+ * allocating anything, which also keeps total * itemsize in range. */
+static PyObject *shuffled_codes(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"counts", "seed", NULL};
+    PyObject *counts_arg, *seed_arg, *counts, *codes = NULL;
+    Py_buffer view = {0};
+    Py_ssize_t classes, c, itemsize;
+    int64_t *sizes = NULL, total = 0, at = 0, k;
+    uint64_t state;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:shuffled_codes", kwlist,
+                                     &counts_arg, &seed_arg)
+        || as_u64(seed_arg, &state) < 0
+        || (counts = PySequence_Tuple(counts_arg)) == NULL)
+        return NULL;
+    classes = PyTuple_GET_SIZE(counts);
+    if ((sizes = PyMem_Calloc((size_t)classes + 1, sizeof(int64_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (c = 0; c < classes; c++)
+        if (as_size(PyTuple_GET_ITEM(counts, c), "counts", &sizes[c]) < 0)
+            goto done;
+    for (c = 0; c < classes; c++) {
+        if (sizes[c] > INT64_MAX - total) {
+            PyErr_SetString(PyExc_ValueError, "counts must total less than 2**63");
+            goto done;
+        }
+        total += sizes[c];
+    }
+    if ((uint64_t)classes > UINT64_C(0x100000000)) {
+        PyErr_SetString(PyExc_ValueError, "counts must hold at most 2**32 classes");
+        goto done;
+    }
+    if ((uint64_t)total > PY_SSIZE_T_MAX / 8) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    itemsize = classes <= 0x100 ? 1 : classes <= 0x10000 ? 2 : 4;
+    codes = zero_array(itemsize == 1 ? "B" : itemsize == 2 ? "H" : "I",
+                       (Py_ssize_t)total, &view);
+    if (codes == NULL)
+        goto done;
+    for (c = 0; c < classes; at += sizes[c++]) {
+        if (itemsize == 1)
+            memset((uint8_t *)view.buf + at, (int)c, (size_t)sizes[c]);
+        for (k = 0; itemsize == 2 && k < sizes[c]; k++)
+            ((uint16_t *)view.buf)[at + k] = (uint16_t)c;
+        for (k = 0; itemsize == 4 && k < sizes[c]; k++)
+            ((uint32_t *)view.buf)[at + k] = (uint32_t)c;
+    }
+    shuffle(view.buf, itemsize, total, state);
+    PyBuffer_Release(&view);
+done:
+    PyMem_Free(sizes);
+    Py_DECREF(counts);
+    return codes;
+}
+
+/* The decimal digits of ``value``, a '-' first when negative, written to
+ * end just before ``end``; returns where they start. */
+static char *decimal(char *end, int64_t value)
+{
+    uint64_t magnitude = value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
+    do {
+        *--end = (char)('0' + magnitude % 10);
+        magnitude /= 10;
+    } while (magnitude != 0);
+    if (value < 0)
+        *--end = '-';
+    return end;
+}
+
+#define DECIMAL_MAX 24 /* room for any int64_t in decimal */
+
+typedef struct {
+    PyObject *text;   /* a cell, or the head */
+    const char *data; /* its characters at the output's kind */
+    char *owned;      /* ``data`` when widened to that kind here, else NULL */
+    Py_ssize_t length;
+    Py_ssize_t uses;  /* the rows that end in this cell; 1 for the head */
+} Cell;
+
+/* ``head``, then row i: the decimal positions[i] (i + 1 without
+ * positions) followed by cells[codes[i]].  One pass over the codes checks
+ * them and sizes the output, which is then built once, at its exact
+ * length and at the narrowest kind that holds the text in use, as
+ * CPython keeps a str. */
+static PyObject *csv_rows(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"codes", "cells", "positions", "head", NULL};
+    PyObject *codes_arg, *cells_arg, *positions_arg = Py_None, *head = NULL,
+        *cells = NULL, *out = NULL;
+    Py_buffer codes, positions = {0};
+    Py_ssize_t ncells = 0, rows, length = 0, at = 0, c, i, k, n;
+    Py_UCS4 maxchar = 0x7F;
+    Cell *table = NULL, *cell;
+    uint64_t code;
+    int64_t value;
+    char digits[DECIMAL_MAX], *start;
+    int kind, cell_kind;
+    void *data;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|OU:csv_rows", kwlist, &codes_arg,
+                                     &cells_arg, &positions_arg, &head)
+        || get_column(codes_arg, &codes, "BHI",
+                      "codes must be a one-dimensional buffer of B, H or I codes") < 0)
+        return NULL;
+    rows = codes.len / codes.itemsize;
+    /* a tuple: nothing that runs during the call can drop a cell */
+    if ((cells = PySequence_Tuple(cells_arg)) == NULL)
+        goto done;
+    ncells = PyTuple_GET_SIZE(cells);
+    if ((table = PyMem_Calloc((size_t)ncells + 1, sizeof(Cell))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (c = 0; c < ncells; c++) {
+        table[c].text = PyTuple_GET_ITEM(cells, c);
+        if (!PyUnicode_Check(table[c].text)) {
+            PyErr_Format(PyExc_TypeError, "cells must be str, not %.200s",
+                         Py_TYPE(table[c].text)->tp_name);
+            goto done;
+        }
+    }
+    cell = &table[ncells];
+    cell->text = head;
+    cell->uses = head != NULL;
+    if (positions_arg != Py_None) {
+        if (get_column(positions_arg, &positions, "q",
+                       "positions must be a one-dimensional buffer of q ints") < 0)
+            goto done;
+        if (positions.len / positions.itemsize != rows) {
+            PyErr_Format(PyExc_ValueError,
+                         "positions and codes differ in length (%zd != %zd)",
+                         positions.len / positions.itemsize, rows);
+            goto done;
+        }
+    }
+    for (i = 0; i < rows; i++) {
+        code = code_at(codes.buf, codes.itemsize, i);
+        if (code >= (uint64_t)ncells) {
+            PyErr_Format(PyExc_ValueError, "codes must lie in [0, %zd), got %llu", ncells,
+                         (unsigned long long)code);
+            goto done;
+        }
+        table[code].uses++;
+        if (positions.obj != NULL)
+            memcpy(&value, (const char *)positions.buf + 8 * i, 8);
+        else
+            value = (int64_t)i + 1;
+        n = digits + DECIMAL_MAX - decimal(digits + DECIMAL_MAX, value);
+        if (length > PY_SSIZE_T_MAX - n) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        length += n;
+    }
+    for (cell = table; cell <= &table[ncells]; cell++) {
+        if (cell->uses == 0)
+            continue;
+        cell->length = PyUnicode_GET_LENGTH(cell->text);
+        if (cell->length > 0 && cell->uses > (PY_SSIZE_T_MAX - length) / cell->length) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        length += cell->uses * cell->length;
+        if (PyUnicode_MAX_CHAR_VALUE(cell->text) > maxchar)
+            maxchar = PyUnicode_MAX_CHAR_VALUE(cell->text);
+    }
+    if ((out = PyUnicode_New(length, maxchar)) == NULL)
+        goto done;
+    kind = PyUnicode_KIND(out);
+    data = PyUnicode_DATA(out);
+    for (cell = table; cell <= &table[ncells]; cell++) {
+        if (cell->uses == 0)
+            continue;
+        cell_kind = PyUnicode_KIND(cell->text);
+        cell->data = PyUnicode_DATA(cell->text);
+        if (cell_kind == kind)
+            continue;
+        /* a narrower text: kind * length fits, as the output holds it */
+        if ((cell->owned = PyMem_Malloc((size_t)(kind * cell->length) + 1)) == NULL) {
+            PyErr_NoMemory();
+            Py_CLEAR(out);
+            goto done;
+        }
+        for (k = 0; k < cell->length; k++)
+            PyUnicode_WRITE(kind, cell->owned, k, PyUnicode_READ(cell_kind, cell->data, k));
+        cell->data = cell->owned;
+    }
+    cell = &table[ncells];
+    if (cell->uses > 0)
+        memcpy(data, cell->data, (size_t)(kind * cell->length));
+    at = cell->length;
+    for (i = 0; i < rows; i++) {
+        if (positions.obj != NULL)
+            memcpy(&value, (const char *)positions.buf + 8 * i, 8);
+        else
+            value = (int64_t)i + 1;
+        start = decimal(digits + DECIMAL_MAX, value);
+        n = digits + DECIMAL_MAX - start;
+        if (kind == PyUnicode_1BYTE_KIND)
+            memcpy((char *)data + at, start, (size_t)n);
+        else
+            for (k = 0; k < n; k++)
+                PyUnicode_WRITE(kind, data, at + k, (Py_UCS4)(unsigned char)start[k]);
+        at += n;
+        cell = &table[code_at(codes.buf, codes.itemsize, i)];
+        memcpy((char *)data + kind * at, cell->data, (size_t)(kind * cell->length));
+        at += cell->length;
+    }
+done:
+    for (c = 0; table != NULL && c <= ncells; c++)
+        PyMem_Free(table[c].owned);
+    PyMem_Free(table);
+    if (positions.obj != NULL)
+        PyBuffer_Release(&positions);
+    PyBuffer_Release(&codes);
+    Py_XDECREF(cells);
+    return out;
 }
 
 /* --- label scanners ------------------------------------------------------- */
@@ -1132,6 +1404,12 @@ static PyMethodDef module_methods[] = {
     KERNEL(group_by_code,
            "Stable counting sort of class codes: per-code counts and the 1-based "
            "positions grouped by code."),
+    KERNEL(shuffled_codes,
+           "The grouped class codes of ``counts`` shuffled by ``permutation``, "
+           "in the narrowest unsigned array."),
+    KERNEL(csv_rows,
+           "``head``, then one CSV row per code: the decimal position, then "
+           "``cells[code]``."),
     KERNEL(scan_csv_labels,
            "Class codes and distinct label tokens of a CSV input, or None."),
     KERNEL(scan_ndjson_labels,

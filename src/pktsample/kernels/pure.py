@@ -19,15 +19,25 @@ stratum or trial never perturbs earlier streams.
 Population, count, draw, trials and the number of classes must lie in
 [0, 2**63); seeds and indices are any ints, taken modulo 2**64.
 
+Two kernels build output from class codes.  ``shuffled_codes`` is the
+code column of a synthesized dataset: the grouped codes of a class
+histogram in ``permutation`` order.  ``csv_rows`` writes a header and
+one CSV row per code (a position, then a pre-rendered cell per class)
+as one ``str``; the synthesized dataset's CSV and every sample CSV
+come from it.  Class codes are unsigned arrays of typecode B, H or I, as
+``code_array`` picks them.
+
 Every function here is a pure function of its arguments; golden output
 vectors for pinned seeds are committed under ``tests/golden/``.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import add, itemgetter
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -103,6 +113,85 @@ def permutation(count: int, seed: int) -> list[int]:
         j = rng._below(i + 1)
         items[i], items[j] = items[j], items[i]
     return items
+
+
+def code_array(codes, nclasses: int) -> array:
+    """Class codes in the narrowest unsigned ``array`` that holds
+    ``nclasses`` codes: typecode B up to 256 classes, H up to 65536, else I."""
+    if nclasses <= 0x100:
+        return array("B", bytes(codes))  # bytes() converts a list of ints in C
+    return array("H" if nclasses <= 0x10000 else "I", codes)
+
+
+_CLASS_LIMIT = 1 << 32  # codes lie in [0, 2**32): typecode I
+_RECORD_LIMIT = sys.maxsize // 8  # the records a list (8 bytes each) can hold
+
+
+def shuffled_codes(counts, seed: int) -> array:
+    """The class codes of the grouped arrangement (``counts[c]`` records of
+    class ``c``, classes in order) shuffled by ``permutation``: item i is
+    ``grouped[permutation(total, seed)[i]]``.  Returned as ``code_array``
+    returns them.  A total of more than ``sys.maxsize // 8`` records
+    raises ``MemoryError`` before anything is allocated."""
+    counts = tuple(counts)
+    for count in counts:
+        _check_sizes(counts=count)
+    total = sum(counts)
+    if total >= _LIMIT:
+        raise ValueError("counts must total less than 2**63")
+    if len(counts) > _CLASS_LIMIT:
+        raise ValueError("counts must hold at most 2**32 classes")
+    if total > _RECORD_LIMIT:
+        raise MemoryError()
+    grouped: list[int] = []
+    for code, count in enumerate(counts):
+        grouped += [code] * count
+    if total > 1:
+        # itemgetter gathers in C; given one index it returns the item
+        # itself, and one record has nothing to shuffle
+        grouped = itemgetter(*permutation(total, seed))(grouped)
+    return code_array(grouped, len(counts))
+
+
+_JOIN_ROWS = 8192  # rows joined per step
+
+
+def csv_rows(codes, cells, positions=None, head: str = "") -> str:
+    """``head``, then one CSV row per code: row i is the decimal
+    ``positions[i]`` (or ``i + 1`` when ``positions`` is None) followed
+    by ``cells[codes[i]]``.
+
+    ``codes`` is a one-dimensional buffer of B, H or I codes, ``cells`` a
+    sequence of ``str`` (each the rest of a row, line end included) and
+    ``positions`` an ``array('q')`` as long as ``codes``.  Rows are joined
+    a few thousand at a time, so the text is held about twice, not as
+    one string object per row.
+    """
+    if not isinstance(head, str):
+        raise TypeError(f"head must be str, not {type(head).__name__}")
+    view = memoryview(codes)
+    if view.ndim != 1 or view.format not in ("B", "H", "I"):
+        raise TypeError("codes must be a one-dimensional buffer of B, H or I codes")
+    cells = tuple(cells)
+    for cell in cells:
+        if not isinstance(cell, str):
+            raise TypeError(f"cells must be str, not {type(cell).__name__}")
+    if positions is None:
+        numbers = range(1, len(view) + 1)
+    else:
+        numbers = memoryview(positions)
+        if numbers.ndim != 1 or numbers.format != "q":
+            raise TypeError("positions must be a one-dimensional buffer of q ints")
+        if len(numbers) != len(view):
+            raise ValueError(
+                f"positions and codes differ in length ({len(numbers)} != {len(view)})"
+            )
+    if view and max(view) >= len(cells):
+        code = next(code for code in view if code >= len(cells))
+        raise ValueError(f"codes must lie in [0, {len(cells)}), got {code}")
+    rows = map(add, map(str, numbers), map(cells.__getitem__, view))
+    chunks = iter(lambda: "".join(islice(rows, _JOIN_ROWS)), "")
+    return "".join([head, *chunks])
 
 
 def sample_without_replacement(population: int, count: int, seed: int) -> list[int]:

@@ -17,15 +17,15 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 
+from pktsample import kernels
 from pktsample.dataset import TraceDataset
 from pktsample.errors import EmptySeries, NonMonotonicAxis
 from pktsample.metrics import ImbalanceReport
 from pktsample.samplers import FAMILIES, SampleResult, SampleSpec
 
 SCHEMA_VERSION = "1.0"
-_JOIN_ROWS = 8192  # sample CSV rows joined per step
 
 
 def format_decimal(value: float, decimals: int) -> str:
@@ -340,9 +340,9 @@ def render_sample_csv(result: SampleResult) -> str:
 
     A row is its position followed by a cell that depends only on the
     entry's class and synthetic flag; each cell is written once by
-    ``csv.writer``, so the quoting is the csv module's.  Rows are joined
-    a few thousand at a time, so the text is held about twice, not as
-    one string object per row.
+    ``csv.writer``, so the quoting is the csv module's, and the header
+    and rows come from one ``kernels.csv_rows`` pass: the text is built
+    once, not copied to put the header in front.
     """
     classes = len(result.table)
     cells = [
@@ -352,10 +352,12 @@ def render_sample_csv(result: SampleResult) -> str:
     ]
     keys = result.codes
     if result.synthetic is not None:
-        keys = [code + classes * flag for code, flag in zip(keys, result.synthetic)]
-    rows = (str(position) + cells[key] for position, key in zip(result.positions, keys))
-    chunks = iter(lambda: "".join(islice(rows, _JOIN_ROWS)), "")
-    return "".join([_csv_text([["source_position", "label", "synthetic"]]), *chunks])
+        keys = kernels.code_array(
+            [code + classes * flag for code, flag in zip(keys, result.synthetic)],
+            2 * classes,
+        )
+    header = _csv_text([["source_position", "label", "synthetic"]])
+    return kernels.csv_rows(keys, cells, result.positions, head=header)
 
 
 def dataset_to_csv(dataset: TraceDataset) -> str:
@@ -364,9 +366,14 @@ def dataset_to_csv(dataset: TraceDataset) -> str:
     All records must share one attribute-key layout.  An original "No."
     attribute (from a parsed capture export) is kept verbatim; otherwise
     the record position is written.  Where a key repeats, its last
-    column is written.
+    column is written.  A dataset without attributes (a synthesized one,
+    say) is written by one ``kernels.csv_rows`` pass, with each label's
+    cell written once by ``csv.writer``.
     """
     keys, columns = dataset.attribute_columns()
+    if not keys:
+        cells = [_csv_text([["", label]]) for label in dataset.table]
+        return kernels.csv_rows(dataset.codes, cells, head=_csv_text([["No.", "Protocol"]]))
     column_of = dict(zip(keys, columns))
     extra = [key for key in keys if key not in ("No.", "Protocol")]
     numbers = column_of.get("No.", range(1, dataset.population + 1))

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pktsample import kernels
 from pktsample.cli import main, parse_run_matrix
 from pktsample.dataset import parse_histogram_spec
 from pktsample.samplers import FAMILIES, SampleSpec
@@ -67,6 +69,34 @@ def test_synth_summary_line(hist_path, tmp_path, capsys):
 def test_synth_matches_committed_checksum(pu_csv):
     expected = (GOLDEN / "pu_synth_seed0.sha256").read_text().strip()
     assert sha256(pu_csv) == expected
+
+
+def test_synth_wide_matches_committed_checksum(tmp_path):
+    """300 classes (two-byte codes), quoted and non-ASCII labels, six-digit
+    positions."""
+    out = tmp_path / "wide.csv"
+    spec = GOLDEN / "synth_wide.hist"
+    assert main(["synth", "--histogram", str(spec), "--seed", "0", "--out", str(out)]) == 0
+    expected = (GOLDEN / "synth_wide_seed0.sha256").read_text().strip()
+    assert sha256(out) == expected
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_synth_out_of_memory_is_one_error_line(backend, tmp_path):
+    """2**62 records fail by size arithmetic alone, before any allocation,
+    on either backend."""
+    spec = tmp_path / "huge.hist"
+    spec.write_text("TCP,4611686018427387904\n", encoding="utf-8")
+    out = tmp_path / "huge.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pktsample.cli", "synth", "--histogram", str(spec),
+         "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PKTSAMPLE_KERNELS=backend),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "pktsample: error: out of memory\n"
+    assert not out.exists()
 
 
 def test_synth_single_row(tmp_path):

@@ -268,6 +268,7 @@ SIZE_CALLS = {
     "counts": lambda impl, size: impl.class_count_trials([1, size], 2, 1, 0),
     "draw": lambda impl, size: impl.class_count_trials([3, 4], size, 1, 0),
     "trials": lambda impl, size: impl.class_count_trials([3, 4], 2, size, 0),
+    "shuffled_counts": lambda impl, size: impl.shuffled_codes([1, size], 0),
 }
 
 
@@ -306,6 +307,90 @@ def test_group_by_code_contract(impl):
         impl.group_by_code(array("B", [0]), 2**63)
     with pytest.raises(TypeError, match="unsigned"):
         impl.group_by_code(array("b", [0]), 1)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_shuffled_codes_contract(impl):
+    """The grouped codes gathered through ``permutation``, in the narrowest
+    unsigned array for the number of classes; zero counts allowed."""
+    counts = [3, 0, 5, 1]
+    grouped = [0, 0, 0, 2, 2, 2, 2, 2, 3]
+    for seed in (0, 1, 2**64 + 7, -3):
+        perm = impl.permutation(len(grouped), seed)
+        expected = array("B", [grouped[i] for i in perm])
+        assert impl.shuffled_codes(counts, seed) == expected
+    assert impl.shuffled_codes(counts, 0) != impl.shuffled_codes(counts, 1)
+    assert impl.shuffled_codes((1,), 5) == array("B", [0])
+    assert impl.shuffled_codes([], 5) == array("B")
+    assert impl.shuffled_codes([0, 0], 5) == array("B")
+    for counts, typecode in (([0] * 255 + [2], "B"), ([0] * 256 + [2], "H"),
+                             ([0] * 65535 + [1], "H"), ([0] * 65536 + [1], "I")):
+        codes = impl.shuffled_codes(counts, 1)
+        expected = array(typecode, [len(counts) - 1]) * counts[-1]
+        assert (codes.typecode, codes) == (typecode, expected)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_shuffled_codes_size_limits(impl):
+    """Totals at or above 2**63 are a ValueError; a total past
+    ``sys.maxsize // 8`` is a MemoryError raised before any allocation."""
+    with pytest.raises(ValueError, match=r"counts must lie in \[0, 2\*\*63\), got -1"):
+        impl.shuffled_codes([4, -1], 0)
+    for counts in ([2**62, 2**62], [2**63 - 1, 1], [1] * 3 + [2**63 - 2]):
+        with pytest.raises(ValueError, match=r"counts must total less than 2\*\*63"):
+            impl.shuffled_codes(counts, 0)
+    for counts in ([2**62], [2**60], [2**61, 2**61, 5], [2**63 - 1]):
+        with pytest.raises(MemoryError):
+            impl.shuffled_codes(counts, 0)
+
+
+CELLS = [",TCP\n", ',"a,b"\n', ',"say ""hi"""\n', ',"two\nlines"\n', ",é\n", ",Ω\n",
+         ",\U0001d11e\n"]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_csv_rows_contract(impl):
+    """Row i is the decimal position (i + 1 without positions) and then
+    the cell of its code; the str is as narrow as the cells in use."""
+    codes = array("B", [0, 1, 0, 2])
+    assert impl.csv_rows(codes, CELLS) == (
+        '1,TCP\n2,"a,b"\n3,TCP\n4,"say ""hi"""\n'
+    )
+    positions = array("q", [7, -12, 2**63 - 1, -(2**63)])
+    assert impl.csv_rows(array("H", [3, 4, 0, 6]), CELLS, positions) == (
+        '7,"two\nlines"\n-12,é\n9223372036854775807,TCP\n'
+        "-9223372036854775808,\U0001d11e\n"
+    )
+    for used in ([0], [4], [5], [6], [4, 5], [0, 6]):
+        text = impl.csv_rows(array("I", used), CELLS)
+        assert text == "".join(f"{i},{CELLS[code][1:]}" for i, code in enumerate(used, 1))
+    assert impl.csv_rows(array("B"), []) == ""
+    assert impl.csv_rows(array("B"), CELLS, array("q")) == ""
+    assert impl.csv_rows(array("B", [0]), ("x",)) == "1x"
+    assert impl.csv_rows(array("B"), [], head="No.,Protocol\n") == "No.,Protocol\n"
+    assert impl.csv_rows(array("B", [0, 4]), CELLS, head="h\n") == "h\n1,TCP\n2,é\n"
+    for head in ("Ω\n", "\U0001d11e\n", ""):
+        assert impl.csv_rows(codes[:1], CELLS, array("q", [9]), head) == head + "9,TCP\n"
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_csv_rows_rejects(impl):
+    with pytest.raises(ValueError, match=r"codes must lie in \[0, 2\), got 9"):
+        impl.csv_rows(array("H", [1, 9, 12]), CELLS[:2])
+    with pytest.raises(ValueError, match=r"codes must lie in \[0, 0\), got 0"):
+        impl.csv_rows(array("B", [0]), [])
+    with pytest.raises(ValueError, match=r"positions and codes differ in length \(1 != 2\)"):
+        impl.csv_rows(array("B", [0, 0]), CELLS, array("q", [1]))
+    with pytest.raises(TypeError, match="B, H or I"):
+        impl.csv_rows(array("b", [0]), CELLS)
+    with pytest.raises(TypeError, match="B, H or I"):
+        impl.csv_rows(array("Q", [0]), CELLS)
+    with pytest.raises(TypeError, match="q ints"):
+        impl.csv_rows(array("B", [0]), CELLS, array("i", [1]))
+    with pytest.raises(TypeError, match="cells must be str, not bytes"):
+        impl.csv_rows(array("B", [0]), [b",x\n"])
+    with pytest.raises(TypeError):
+        impl.csv_rows(array("B", [0]), CELLS, head=b"h\n")
 
 
 @pytest.mark.skipif(_native is None, reason="native kernels not built")
@@ -353,7 +438,19 @@ def _outcome(fn, *args):
         return ValueError
 
 
+def _raised(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of the
+    ValueError, TypeError or MemoryError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError, MemoryError) as exc:
+        return type(exc), str(exc)
+
+
 SEEDS = st.integers(-(2**70), 2**70)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+CELL_TEXT = st.text(st.sampled_from(["a", "7", " ", ",", '"', "\n", "\r", "é", "Ω",
+                                     "\U0001d11e"]), max_size=5)
 
 
 @pytest.mark.skipif(_native is None, reason="native kernels not built")
@@ -406,6 +503,52 @@ class TestBackendEquivalenceProperty:
         assert _outcome(pure.group_by_code, codes, nclasses) == _outcome(
             _native.group_by_code, codes, nclasses
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        typecode=st.sampled_from("BHI"),
+        cells=st.lists(CELL_TEXT, max_size=6),
+        head=CELL_TEXT,
+        positioned=st.booleans(),
+        length_offset=st.sampled_from([0, 0, 0, 0, 1, -1]),
+    )
+    def test_csv_rows(self, data, typecode, cells, head, positioned, length_offset):
+        """A head and cells with quotes, commas, line breaks and text of
+        every str kind; a code at or past ``len(cells)`` and a positions
+        length mismatch among the cases."""
+        codes = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=30)
+                          if cells else st.just([]))
+        if data.draw(st.booleans()):
+            top = {"B": 2**8, "H": 2**16, "I": 2**32}[typecode] - 1
+            codes.insert(data.draw(st.integers(0, len(codes))),
+                         data.draw(st.integers(len(cells), top)))
+        positions = None
+        if positioned:
+            size = max(0, len(codes) + length_offset)
+            positions = array("q", data.draw(st.lists(INT64, min_size=size, max_size=size)))
+        args = (array(typecode, codes), cells, positions, head)
+        assert _raised(pure.csv_rows, *args) == _raised(_native.csv_rows, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 30), max_size=8),
+        padding=st.sampled_from([0, 0, 0, 256, 65536]),
+        huge=st.none() | st.sampled_from([2**60, 2**62, 2**63 - 1, 2**63, 2**64, -1]),
+        seed=SEEDS,
+    )
+    def test_shuffled_codes(self, counts, padding, huge, seed):
+        """Up to 8 counts, zero counts among them; more than 256 or 65536
+        classes for H and I codes; one huge or negative count, which
+        raises by size arithmetic alone in both backends."""
+        counts = counts + [0, 1] * (padding // 2)
+        if huge is not None:
+            counts.insert(len(counts) // 2, huge)
+        def typed(impl):
+            codes = impl.shuffled_codes(counts, seed)
+            return codes.typecode, codes
+
+        assert _raised(typed, pure) == _raised(typed, _native)
 
     @settings(max_examples=100, deadline=None)
     @given(count=st.integers(0, 300), seed=SEEDS)

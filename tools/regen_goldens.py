@@ -12,7 +12,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from pktsample.dataset import ClassHistogram, histogram, pu_tds_histogram, synthesize
+from pktsample.dataset import (
+    ClassHistogram,
+    histogram,
+    load_histogram_spec,
+    pu_tds_histogram,
+    synthesize,
+)
 from pktsample.kernels import derive_seed, pure
 from pktsample.metrics import (
     class_report,
@@ -103,6 +109,13 @@ def main() -> None:
 
     digest = hashlib.sha256(dataset_to_csv(dataset).encode("utf-8")).hexdigest()
     write("pu_synth_seed0.sha256", digest + "\n")
+
+    # synth_wide.hist is an input, not regenerated: 300 classes (two-byte
+    # codes), labels the csv module quotes or that are not ASCII, and
+    # more than 100k records (six-digit positions)
+    wide = synthesize(load_histogram_spec(GOLDEN / "synth_wide.hist"), seed=0)
+    digest = hashlib.sha256(dataset_to_csv(wide).encode("utf-8")).hexdigest()
+    write("synth_wide_seed0.sha256", digest + "\n")
 
     # The CLI derives its histogram from the dataset file, so the class
     # order is the shuffled first-appearance order, not the bundled histogram order.
