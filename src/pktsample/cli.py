@@ -83,17 +83,6 @@ def _load_input(args):
     return dataset, histogram(dataset)
 
 
-def _build_spec(family: str, seed: int, **params) -> SampleSpec:
-    """The one way ``sample`` flags and run-matrix lines become a spec.
-
-    Seeded families take ``seed``; the others have none, so theirs is 0.
-    ``SampleSpec`` rejects a parameter the family does not take.
-    """
-    return SampleSpec(
-        family=family, seed=seed if FAMILIES[family].seeded else 0, **params
-    )
-
-
 def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
     """Parse a declarative run list: one ``family key=value ...`` per line.
 
@@ -137,7 +126,7 @@ def parse_run_matrix(text: str, default_seed: int) -> list[SampleSpec]:
                 raise ValueError(f"runs line {line_num}: unknown key {key!r}")
         seed = values.pop("seed", default_seed)
         try:
-            specs.append(_build_spec(family, seed, **values))  # type: ignore[arg-type]
+            specs.append(SampleSpec(family, seed=seed, **values))  # type: ignore[arg-type]
         except ValueError as exc:
             raise ValueError(f"runs line {line_num}: {exc}") from None
     if not specs:
@@ -169,9 +158,9 @@ def cmd_analyze(args) -> None:
 def cmd_sample(args) -> None:
     decimals = _decimals(args)
     try:
-        spec = _build_spec(
-            args.family, args.seed, n=args.n, interval=args.interval, k=args.k,
-            with_replacement=args.with_replacement,
+        spec = SampleSpec(
+            args.family, n=args.n, interval=args.interval, k=args.k,
+            with_replacement=args.with_replacement, seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

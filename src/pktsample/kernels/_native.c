@@ -7,10 +7,10 @@
  * Plain C99 against the CPython C-API; it needs nothing but a C compiler.
  * Population, count, draw, trials and the number of classes lie in
  * [0, 2**63), else ValueError; seeds and indices are any ints, taken
- * modulo 2**64; an Rng bound lies in [1, 2**64), else ValueError.
+ * modulo 2**64.  pure.Rng is the reference for the stream.
  *
  * Kernels with a pure twin:
- *   derive_seed, Rng, permutation     the SplitMix64 stream and its shuffle
+ *   derive_seed, permutation          the SplitMix64 stream and its shuffle
  *   sample_without_replacement,       uniform draws of 1-based positions
  *   sample_with_replacement
  *   class_count_trials                per-class counts of Monte Carlo trials
@@ -179,63 +179,39 @@ static int64_t swap_step(SwapMap *swaps, uint64_t *state, int64_t population, in
     return taken;
 }
 
-/* --- Rng ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    uint64_t state;
-} RngObject;
-
-static PyObject *Rng_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+/* Swaps the ``size`` bytes at a and b; memcpy lets them hold any type. */
+static void swap_items(char *a, char *b, size_t size)
 {
-    static char *kwlist[] = {"seed", NULL};
-    PyObject *seed;
-    RngObject *self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:Rng", kwlist, &seed))
-        return NULL;
-    self = (RngObject *)type->tp_alloc(type, 0);
-    if (self != NULL && as_u64(seed, &self->state) < 0)
-        Py_CLEAR(self);
-    return (PyObject *)self;
+    char held[8];
+    memcpy(held, a, size);
+    memcpy(a, b, size);
+    memcpy(b, held, size);
 }
 
-static PyObject *Rng_next_u64(RngObject *self, PyObject *unused)
+/* Fisher-Yates over ``total`` items of ``itemsize`` (1, 2, 4 or 8) bytes, high
+ * index downward, as ``permutation``; each case inlines a fixed-size swap. */
+static void shuffle(char *items, Py_ssize_t itemsize, int64_t total, uint64_t state)
 {
-    return PyLong_FromUnsignedLongLong(next_u64(&self->state));
-}
-
-static PyObject *Rng_randbelow(RngObject *self, PyObject *bound)
-{
-    unsigned long long value = PyLong_AsUnsignedLongLong(bound);
-    if (value == (unsigned long long)-1 && PyErr_Occurred()) {
-        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-            return NULL;
-        PyErr_Clear();
-        value = 0;
+    char *a, *b;
+    int64_t i;
+    for (i = total - 1; i > 0; i--) {
+        a = items + itemsize * i;
+        b = items + itemsize * (int64_t)randbelow(&state, (uint64_t)i + 1);
+        switch (itemsize) {
+        case 1:
+            swap_items(a, b, 1);
+            break;
+        case 2:
+            swap_items(a, b, 2);
+            break;
+        case 4:
+            swap_items(a, b, 4);
+            break;
+        default:
+            swap_items(a, b, 8);
+        }
     }
-    if (value == 0) {
-        PyErr_Format(PyExc_ValueError, "bound must lie in [1, 2**64), got %R", bound);
-        return NULL;
-    }
-    return PyLong_FromUnsignedLongLong(randbelow(&self->state, value));
 }
-
-static PyMethodDef Rng_methods[] = {
-    {"next_u64", (PyCFunction)Rng_next_u64, METH_NOARGS, "Next 64-bit output."},
-    {"randbelow", (PyCFunction)Rng_randbelow, METH_O,
-     "Uniform integer in [0, bound) via mask-and-reject."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyTypeObject RngType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "pktsample.kernels._native.Rng",
-    .tp_basicsize = sizeof(RngObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "SplitMix64 stream over a 64-bit seed.",
-    .tp_methods = Rng_methods,
-    .tp_new = Rng_new,
-};
 
 /* --- module functions ----------------------------------------------------- */
 
@@ -254,20 +230,15 @@ static PyObject *derive_seed(PyObject *module, PyObject *args, PyObject *kwargs)
 static PyObject *permutation(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"count", "seed", NULL};
-    PyObject *count_arg, *seed_arg, *items, *tmp;
-    int64_t count, i, j;
+    PyObject *count_arg, *seed_arg, *items;
+    int64_t count;
     uint64_t state;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:permutation", kwlist,
                                      &count_arg, &seed_arg)
         || as_size(count_arg, "count", &count) < 0 || as_u64(seed_arg, &state) < 0
         || (items = int_range(0, count)) == NULL)
         return NULL;
-    for (i = count - 1; i > 0; i--) {
-        j = (int64_t)randbelow(&state, (uint64_t)i + 1);
-        tmp = PyList_GET_ITEM(items, i);
-        PyList_SET_ITEM(items, i, PyList_GET_ITEM(items, j));
-        PyList_SET_ITEM(items, j, tmp);
-    }
+    shuffle((char *)PySequence_Fast_ITEMS(items), sizeof(PyObject *), count, state);
     return items;
 }
 
@@ -450,6 +421,28 @@ static uint64_t code_at(const char *codes, Py_ssize_t itemsize, Py_ssize_t i)
     }
 }
 
+/* Stores ``code`` as item i of a buffer of ``itemsize``-byte unsigned ints:
+ * the inverse of code_at. */
+static void set_code(char *codes, Py_ssize_t itemsize, Py_ssize_t i, uint64_t code)
+{
+    uint8_t u8 = (uint8_t)code;
+    uint16_t u16 = (uint16_t)code;
+    uint32_t u32 = (uint32_t)code;
+    switch (itemsize) {
+    case 1:
+        memcpy(codes + i, &u8, 1);
+        break;
+    case 2:
+        memcpy(codes + 2 * i, &u16, 2);
+        break;
+    case 4:
+        memcpy(codes + 4 * i, &u32, 4);
+        break;
+    default:
+        memcpy(codes + 8 * i, &code, 8);
+    }
+}
+
 /* array(typecode) of ``length`` zeros, its items exported writable to ``view``. */
 static PyObject *zero_array(const char *typecode, Py_ssize_t length, Py_buffer *view)
 {
@@ -465,6 +458,15 @@ static PyObject *zero_array(const char *typecode, Py_ssize_t length, Py_buffer *
         && PyObject_GetBuffer(zeros, view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
         Py_CLEAR(zeros);
     return zeros;
+}
+
+/* ``length`` zeros in the narrowest unsigned array that holds ``classes``
+ * codes, picked as pure.code_array picks it: 'B' up to 256 classes, 'H' up
+ * to 65536, else 'I'; see zero_array. */
+static PyObject *code_array(Py_ssize_t classes, Py_ssize_t length, Py_buffer *view)
+{
+    return zero_array(classes <= 0x100 ? "B" : classes <= 0x10000 ? "H" : "I", length,
+                      view);
 }
 
 static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwargs)
@@ -521,29 +523,6 @@ done:
 
 /* --- synthesis and CSV rows ---------------------------------------------- */
 
-/* ``permutation``'s swaps applied to ``total`` items of ``itemsize`` bytes,
- * so item i ends as the item at ``permutation(total, seed)[i]``. */
-static void shuffle(char *items, Py_ssize_t itemsize, int64_t total, uint64_t state)
-{
-    int64_t i, j;
-    uint8_t *u8 = (uint8_t *)items, t8;
-    uint16_t *u16 = (uint16_t *)items, t16;
-    uint32_t *u32 = (uint32_t *)items, t32;
-    for (i = total - 1; i > 0; i--) {
-        j = (int64_t)randbelow(&state, (uint64_t)i + 1);
-        switch (itemsize) {
-        case 1:
-            t8 = u8[i], u8[i] = u8[j], u8[j] = t8;
-            break;
-        case 2:
-            t16 = u16[i], u16[i] = u16[j], u16[j] = t16;
-            break;
-        default:
-            t32 = u32[i], u32[i] = u32[j], u32[j] = t32;
-        }
-    }
-}
-
 /* The grouped codes (counts[c] records of class c, classes in order) with
  * ``permutation``'s swaps applied in place: no Python int per record.
  * Like pure.py, whose twin holds one 8-byte list item per record, it
@@ -553,8 +532,8 @@ static PyObject *shuffled_codes(PyObject *module, PyObject *args, PyObject *kwar
 {
     static char *kwlist[] = {"counts", "seed", NULL};
     PyObject *counts_arg, *seed_arg, *counts, *codes = NULL;
-    Py_buffer view = {0};
-    Py_ssize_t classes, c, itemsize;
+    Py_buffer view;
+    Py_ssize_t classes, c;
     int64_t *sizes = NULL, total = 0, at = 0, k;
     uint64_t state;
 
@@ -586,20 +565,12 @@ static PyObject *shuffled_codes(PyObject *module, PyObject *args, PyObject *kwar
         PyErr_NoMemory();
         goto done;
     }
-    itemsize = classes <= 0x100 ? 1 : classes <= 0x10000 ? 2 : 4;
-    codes = zero_array(itemsize == 1 ? "B" : itemsize == 2 ? "H" : "I",
-                       (Py_ssize_t)total, &view);
-    if (codes == NULL)
+    if ((codes = code_array(classes, (Py_ssize_t)total, &view)) == NULL)
         goto done;
-    for (c = 0; c < classes; at += sizes[c++]) {
-        if (itemsize == 1)
-            memset((uint8_t *)view.buf + at, (int)c, (size_t)sizes[c]);
-        for (k = 0; itemsize == 2 && k < sizes[c]; k++)
-            ((uint16_t *)view.buf)[at + k] = (uint16_t)c;
-        for (k = 0; itemsize == 4 && k < sizes[c]; k++)
-            ((uint32_t *)view.buf)[at + k] = (uint32_t)c;
-    }
-    shuffle(view.buf, itemsize, total, state);
+    for (c = 0; c < classes; c++)
+        for (k = 0; k < sizes[c]; k++)
+            set_code(view.buf, view.itemsize, at++, (uint64_t)c);
+    shuffle(view.buf, view.itemsize, total, state);
     PyBuffer_Release(&view);
 done:
     PyMem_Free(sizes);
@@ -930,47 +901,19 @@ static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length)
     return 1;
 }
 
-/* array(typecode) holding ``size`` bytes of ``data``. */
-static PyObject *new_array(const char *typecode, const void *data, Py_ssize_t size)
-{
-    PyObject *module = PyImport_ImportModule("array"), *array, *view, *done = NULL;
-    if (module == NULL)
-        return NULL;
-    array = PyObject_CallMethod(module, "array", "s", typecode);
-    Py_DECREF(module);
-    view = array == NULL ? NULL : PyMemoryView_FromMemory((char *)data, size, PyBUF_READ);
-    if (view != NULL)
-        done = PyObject_CallMethod(array, "frombytes", "O", view);
-    Py_XDECREF(view);
-    if (done == NULL)
-        Py_CLEAR(array);
-    Py_XDECREF(done);
-    return array;
-}
-
 /* The scanner's (codes, tokens), each code in the fewest bytes. */
 static PyObject *scan_result(Scan *scan)
 {
-    Py_ssize_t itemsize = scan->distinct <= 0x100 ? 1 : scan->distinct <= 0x10000 ? 2 : 4;
-    const char *typecode = itemsize == 1 ? "B" : itemsize == 2 ? "H" : "I";
-    void *narrow = itemsize == 4 ? (void *)scan->codes
-                                 : PyMem_Malloc(scan->records * itemsize);
+    Py_buffer view;
     Py_ssize_t i;
-    PyObject *codes, *result = NULL;
-    if (narrow == NULL)
-        return PyErr_NoMemory();
-    for (i = 0; itemsize < 4 && i < scan->records; i++) {
-        if (itemsize == 1)
-            ((uint8_t *)narrow)[i] = (uint8_t)scan->codes[i];
-        else
-            ((uint16_t *)narrow)[i] = (uint16_t)scan->codes[i];
-    }
-    codes = new_array(typecode, narrow, scan->records * itemsize);
-    if (narrow != scan->codes)
-        PyMem_Free(narrow);
-    if (codes != NULL)
-        result = PyTuple_Pack(2, codes, scan->tokens);
-    Py_XDECREF(codes);
+    PyObject *codes = code_array(scan->distinct, scan->records, &view), *result;
+    if (codes == NULL)
+        return NULL;
+    for (i = 0; i < scan->records; i++)
+        set_code(view.buf, view.itemsize, i, scan->codes[i]);
+    PyBuffer_Release(&view);
+    result = PyTuple_Pack(2, codes, scan->tokens);
+    Py_DECREF(codes);
     return result;
 }
 
@@ -1428,9 +1371,6 @@ static struct PyModuleDef native_module = {
 
 PyMODINIT_FUNC PyInit__native(void)
 {
-    PyObject *module = PyModule_Create(&native_module);
     fill_plain_tables();
-    if (module != NULL && PyModule_AddType(module, &RngType) < 0)
-        Py_CLEAR(module);
-    return module;
+    return PyModule_Create(&native_module);
 }

@@ -194,27 +194,29 @@ def csv_rows(codes, cells, positions=None, head: str = "") -> str:
     return "".join([head, *chunks])
 
 
-def sample_without_replacement(population: int, count: int, seed: int) -> list[int]:
-    """Uniform simple random sample of distinct 1-based positions, ascending.
+def _drawn(below, population: int, count: int):
+    """The 0-based positions that ``count`` steps of a partial Fisher-Yates
+    over the virtual array 0..population-1 take, in step order; step i
+    swaps slot i with slot ``i + below(population - i)``.  Only touched
+    slots are tracked, so memory follows ``count``."""
+    swaps: dict[int, int] = {}
+    get = swaps.get
+    for i in range(count):
+        j = i + below(population - i)
+        taken = get(j, j)
+        swaps[j] = get(i, i)
+        yield taken
 
-    Runs a partial Fisher-Yates over the virtual array 0..population-1,
-    tracking only touched slots, then sorts the selection.  When
-    ``count >= population`` the whole population is returned and no PRNG
-    output is consumed.
+
+def sample_without_replacement(population: int, count: int, seed: int) -> list[int]:
+    """Uniform simple random sample of distinct 1-based positions, ascending:
+    ``_drawn``'s positions, sorted.  When ``count >= population`` the whole
+    population is returned and no PRNG output is consumed.
     """
     _check_sizes(population=population, count=count)
     if count >= population:
         return list(range(1, population + 1))
-    rng = Rng(seed)
-    swaps: dict[int, int] = {}
-    out = []
-    for i in range(count):
-        j = i + rng._below(population - i)
-        taken = swaps.get(j, j)
-        swaps[j] = swaps.get(i, i)
-        out.append(taken + 1)
-    out.sort()
-    return out
+    return sorted(taken + 1 for taken in _drawn(Rng(seed)._below, population, count))
 
 
 def sample_with_replacement(population: int, count: int, seed: int) -> list[int]:
@@ -261,12 +263,7 @@ def class_count_trials(
             for _ in range(draw):
                 row[bisect_right(ends, randbelow(population))] += 1
         else:
-            swaps: dict[int, int] = {}
-            get = swaps.get
-            for i in range(draw):
-                j = i + randbelow(population - i)
-                taken = get(j, j)
-                swaps[j] = get(i, i)
+            for taken in _drawn(randbelow, population, draw):
                 row[bisect_right(ends, taken)] += 1
         rows.append(row)
     return rows

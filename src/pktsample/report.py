@@ -183,13 +183,11 @@ def _report_csv(report: ImbalanceReport, decimals: int) -> str:
     ])
 
 
-def _source_json(report: ImbalanceReport) -> dict:
+def _source_json(population: int, classes) -> dict:
+    """A JSON report's ``source`` block; ``classes`` yields (label, count)."""
     return {
-        "population": report.source_population,
-        "classes": [
-            {"label": row.label, "count": row.source_count}
-            for row in report.per_class
-        ],
+        "population": population,
+        "classes": [{"label": label, "count": count} for label, count in classes],
     }
 
 
@@ -197,7 +195,10 @@ def _report_json(report: ImbalanceReport) -> str:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "kind": "imbalance_report",
-        "source": _source_json(report),
+        "source": _source_json(
+            report.source_population,
+            ((row.label, row.source_count) for row in report.per_class),
+        ),
         "spec": _spec_json(report.spec),
         "per_class": [
             {
@@ -258,13 +259,9 @@ def _matrix_json(matrix: ComparisonMatrix) -> str:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "kind": "comparison",
-        "source": {
-            "population": matrix.source_population,
-            "classes": [
-                {"label": label, "count": count}
-                for label, count in zip(matrix.row_labels, matrix.source_counts)
-            ],
-        },
+        "source": _source_json(
+            matrix.source_population, zip(matrix.row_labels, matrix.source_counts)
+        ),
         "rows": list(matrix.row_labels),
         "columns": [
             {

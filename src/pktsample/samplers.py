@@ -41,7 +41,8 @@ class SampleSpec:
 
     A family takes exactly one of the size parameters ``n``, ``interval``
     and ``k``; ``FAMILIES`` says which, whether ``seed`` is used and
-    whether ``with_replacement`` applies.
+    whether ``with_replacement`` applies.  A family that takes no seed
+    stores seed 0, whatever it was given, so equal requests compare equal.
     """
 
     family: str
@@ -66,6 +67,8 @@ class SampleSpec:
                 )
         if self.with_replacement and not entry.with_replacement:
             raise ValueError(f"{self.family} sampling does not take with_replacement")
+        if not entry.seeded:
+            object.__setattr__(self, "seed", 0)
 
     @classmethod
     def random(cls, n: int, with_replacement: bool = False, seed: int = 0):

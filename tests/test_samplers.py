@@ -19,6 +19,7 @@ from pktsample.metrics import (
     miss_probability_analytic,
 )
 from pktsample.samplers import (
+    FAMILIES,
     SampleSpec,
     draw,
     random_sample,
@@ -68,6 +69,15 @@ def test_spec_rejects_size_parameter_the_family_does_not_take():
         SampleSpec(family="random", n=3, k=2)
     with pytest.raises(ValueError, match="underover sampling takes k, not interval"):
         SampleSpec(family="underover", k=3, interval=2)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_drawn_spec_is_the_requested_spec(pu_dataset, family):
+    """A report names the spec that was asked for: a family that takes no
+    seed stores seed 0 however it was given one."""
+    spec = SampleSpec(family, **{FAMILIES[family].size: 50}, seed=3)
+    assert draw(pu_dataset, spec).spec == spec
+    assert spec.seed == (3 if FAMILIES[family].seeded else 0)
 
 
 def test_spec_sizes_below_2_63():
