@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import stat
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ from pktsample.errors import (
     InvalidUtf8,
     MalformedRow,
     MissingLabelColumn,
+    SourceChanged,
     ZeroTotal,
 )
 
@@ -57,17 +60,18 @@ class PacketRecord:
 class _SourceRows:
     """Passthrough attributes left in the input, parsed when asked for.
 
-    ``source`` is the whole input as read (``bytes``, or ``str`` from a
-    text stream).  ``keys`` are the CSV attribute keys (``None`` for
-    NDJSON, whose keys vary by record) and ``label`` is the CSV label
-    index or the NDJSON label column.  Each access parses the attributes
-    of every record in one pass over the source; nothing is kept per
-    record.
+    ``source`` is the input: the whole of it as read (``bytes``, or ``str``
+    from a text stream), or, for a regular file that was read in windows,
+    ``(path, st_size, st_mtime_ns)`` from load time, which each access
+    re-reads.  ``keys`` are the CSV attribute keys (``None`` for NDJSON,
+    whose keys vary by record) and ``label`` is the CSV label index or the
+    NDJSON label column.  Each access parses the attributes of every
+    record in one pass over the source; nothing is kept per record.
     """
 
     __slots__ = ("source", "keys", "label")
 
-    def __init__(self, source: bytes | str, keys, label):
+    def __init__(self, source: bytes | str | tuple, keys, label):
         self.source = source
         self.keys = keys
         self.label = label
@@ -77,10 +81,11 @@ class _SourceRows:
         ones where there are no CSV keys."""
         if self.keys is None:
             label = self.label
-            return [
-                tuple((key, _stringify(value)) for key, value in obj.items() if key != label)
-                for _, obj in _ndjson_objects(self.source, _text(self.source))
-            ]
+            with _text(_stream(self.source)) as text:
+                return [
+                    tuple((key, _stringify(value)) for key, value in obj.items() if key != label)
+                    for _, obj in _ndjson_objects(self.source, text)
+                ]
         if not self.keys:
             return repeat(())
         return [tuple(zip(self.keys, values)) for values in zip(*self.csv_columns())]
@@ -89,15 +94,41 @@ class _SourceRows:
         """One value list per CSV attribute key, from one pass of
         ``csv.reader`` over the source.  Rows are taken a few hundred at a
         time, so the collector never tracks one list per record."""
-        reader = csv.reader(_text(self.source))
-        next(reader)
-        rows = filter(None, reader)
         columns: list[list[str]] = [[] for _ in range(len(self.keys) + 1)]
-        for chunk in iter(lambda: list(islice(rows, _ROW_CHUNK)), []):
-            for column, values in zip(columns, zip(*chunk)):
-                column.extend(values)
+        with _text(_stream(self.source)) as text:
+            reader = csv.reader(text)
+            next(reader)
+            rows = filter(None, reader)
+            for chunk in iter(lambda: list(islice(rows, _ROW_CHUNK)), []):
+                for column, values in zip(columns, zip(*chunk)):
+                    column.extend(values)
         del columns[self.label]
         return columns
+
+
+def _stream(source: bytes | str | tuple) -> IO:
+    """A stream of the input at its start.  A file is checked against its
+    load-time size and modification time, else ``SourceChanged``."""
+    if isinstance(source, str):
+        return io.StringIO(source, newline="")
+    if not isinstance(source, tuple):
+        return io.BytesIO(source)
+    path, size, mtime_ns = source
+    stream = open(path, "rb")
+    info = os.fstat(stream.fileno())
+    if (info.st_size, info.st_mtime_ns) != (size, mtime_ns):
+        stream.close()
+        raise SourceChanged(f"{path} changed after it was loaded")
+    return stream
+
+
+def _text(stream: IO) -> IO[str]:
+    """``stream`` from its start as the parsers read it: UTF-8 with a
+    leading BOM skipped, line endings kept."""
+    stream.seek(0)
+    if isinstance(stream, io.TextIOBase):
+        return stream
+    return io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
 
 
 def _encoded(labels: Iterable[str]) -> tuple[array, tuple[str, ...]]:
@@ -106,6 +137,12 @@ def _encoded(labels: Iterable[str]) -> tuple[array, tuple[str, ...]]:
     index: dict[str, int] = {}
     codes = [index.setdefault(label, len(index)) for label in labels]
     return kernels.code_array(codes, len(index)), tuple(index)
+
+
+def _narrowest(codes: array, nclasses: int) -> array:
+    """``codes`` in the array ``kernels.code_array`` picks for ``nclasses``
+    codes."""
+    return array(kernels.code_array((), nclasses).typecode, codes)
 
 
 def _recoded(codes: array, mapping: Sequence[int], nclasses: int) -> array:
@@ -177,14 +214,15 @@ class TraceDataset:
 
     @cached_property
     def _histogram(self) -> "ClassHistogram":
-        counts, _ = self.strata
+        counts = kernels.count_codes(self.codes, len(self.table))
         return ClassHistogram.from_counts(zip(self.table, counts))
 
     @cached_property
     def strata(self) -> tuple[list[int], array]:
         """``kernels.group_by_code`` of the codes: the number of records of
         each code, and the 1-based positions of the records grouped by
-        code, ascending within a code, as ``array('q')``."""
+        code, ascending within a code, as ``array('q')``.  Only the samplers
+        that draw per class build it."""
         return kernels.group_by_code(self.codes, len(self.table))
 
     def attribute_columns(self) -> tuple[tuple[str, ...], Sequence[Sequence[str]]]:
@@ -280,10 +318,13 @@ def _stringify(value: object) -> str:
     return _encode(value)
 
 
-def _undecodable(source: bytes) -> InvalidUtf8:
+def _undecodable(source: bytes | tuple) -> InvalidUtf8:
     r"""The error naming the line that holds the first non-UTF-8 byte of
     ``source``: one more than the ``\r\n``, ``\r`` and ``\n`` breaks
-    before it."""
+    before it.  A file source is read whole, on this error path only."""
+    if isinstance(source, tuple):
+        with _stream(source) as stream:
+            source = stream.read()
     start = len(source)
     try:
         source.decode("utf-8")
@@ -293,19 +334,21 @@ def _undecodable(source: bytes) -> InvalidUtf8:
     return InvalidUtf8(f"line {line}: input is not valid UTF-8")
 
 
-def _scanned(scan, source: bytes | str, decode, *args):
+def _scanned(scan, stream: IO, source, decode, *args):
     """The class codes and label table that a native label scanner reads
-    from ``source``, or ``None`` where there is no scanner, the source is
-    text or the scanner hands the input back to the Python parser.
+    from ``stream``, from its start, or ``None`` where there is no
+    scanner, the source is text or the scanner hands the input back to the
+    Python parser.
 
     Each distinct raw token is decoded and stripped once, and the codes
     of tokens that decode to one label (`` TCP`` and ``TCP``) are merged;
     a blank label or one no report can write as UTF-8 also goes back to
     the Python parser, which raises its error.
     """
-    if scan is None or not isinstance(source, bytes):
+    if scan is None or isinstance(source, str):
         return None
-    scanned = scan(source, *args)
+    stream.seek(0)
+    scanned = scan(stream, *args)
     if scanned is None:
         return None
     codes, tokens = scanned
@@ -325,7 +368,8 @@ def _scanned(scan, source: bytes | str, decode, *args):
     return codes, tuple(index)
 
 
-def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
+def _parse_csv(stream: IO, source, label_column: str) -> TraceDataset:
+    text = _text(stream)
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -335,6 +379,9 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
         raise _undecodable(source) from None
     except csv.Error as exc:
         raise MalformedRow(f"header (line {reader.line_num}): {exc}") from None
+    finally:
+        if text is not stream:
+            text.detach()  # so that collecting it does not close the stream
     if label_column not in header:
         raise MissingLabelColumn(
             f"header {header!r} lacks label column {label_column!r}"
@@ -343,53 +390,56 @@ def _parse_csv(source: bytes | str, text: IO[str], label_column: str) -> TraceDa
     width = len(header)
     keys = tuple(key for i, key in enumerate(header) if i != label_index)
     codes, table = _scanned(
-        kernels.scan_csv_labels, source, bytes.decode,
+        kernels.scan_csv_labels, stream, source, bytes.decode,
         label_index, width, csv.field_size_limit(),
-    ) or _read_csv_labels(source, reader, label_index, width)
+    ) or _read_csv_labels(stream, source, label_index, width)
     attributes = _SourceRows(source, keys, label_index)
     return TraceDataset._from_codes(codes, table, attributes)
 
 
-def _read_csv_labels(source, reader, label_index: int, width: int):
+def _read_csv_labels(stream: IO, source, label_index: int, width: int):
     """The Python CSV parser: class codes and label table of the rows
     after the header."""
-    codes: list[int] = []
+    codes = array("I")  # 4 bytes per record, not a list's 8
     index: dict[str, int] = {}
-    try:
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise MalformedRow(
-                    f"row {len(codes) + 1} (line {reader.line_num}): expected "
-                    f"{width} columns, got {len(row)}"
-                )
-            label = row[label_index].strip()
-            if not label:
-                raise EmptyLabel(
-                    f"row {len(codes) + 1} (line {reader.line_num}): blank label"
-                )
-            codes.append(index.setdefault(label, len(index)))
-    except UnicodeDecodeError:
-        raise _undecodable(source) from None
-    except csv.Error as exc:
-        raise MalformedRow(
-            f"row {len(codes) + 1} (line {reader.line_num}): {exc}"
-        ) from None
+    with _text(stream) as text:
+        reader = csv.reader(text)
+        next(reader)  # the header, read before
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise MalformedRow(
+                        f"row {len(codes) + 1} (line {reader.line_num}): expected "
+                        f"{width} columns, got {len(row)}"
+                    )
+                label = row[label_index].strip()
+                if not label:
+                    raise EmptyLabel(
+                        f"row {len(codes) + 1} (line {reader.line_num}): blank label"
+                    )
+                codes.append(index.setdefault(label, len(index)))
+        except UnicodeDecodeError:
+            raise _undecodable(source) from None
+        except csv.Error as exc:
+            raise MalformedRow(
+                f"row {len(codes) + 1} (line {reader.line_num}): {exc}"
+            ) from None
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return kernels.code_array(codes, len(index)), tuple(index)
+    return _narrowest(codes, len(index)), tuple(index)
 
 
-def _parse_ndjson(source: bytes | str, text: IO[str], label_column: str) -> TraceDataset:
+def _parse_ndjson(stream: IO, source, label_column: str) -> TraceDataset:
     codes, table = _scanned(
-        kernels.scan_ndjson_labels, source, json.loads, label_column
-    ) or _read_ndjson_labels(source, text, label_column)
+        kernels.scan_ndjson_labels, stream, source, json.loads, label_column
+    ) or _read_ndjson_labels(stream, source, label_column)
     attributes = _SourceRows(source, None, label_column)
     return TraceDataset._from_codes(codes, table, attributes)
 
 
-def _ndjson_objects(source: bytes | str, text: IO[str]):
+def _ndjson_objects(source, text: IO[str]):
     """The Python NDJSON parser: ``(line number, object)`` for each line of
     ``text`` that is not blank after ``str.strip()``."""
     try:
@@ -417,25 +467,26 @@ def _ndjson_objects(source: bytes | str, text: IO[str]):
         raise _undecodable(source) from None
 
 
-def _read_ndjson_labels(source, text: IO[str], label_column: str):
+def _read_ndjson_labels(stream: IO, source, label_column: str):
     """The class codes and label table of the Python NDJSON parser."""
-    codes: list[int] = []
+    codes = array("I")  # 4 bytes per record, not a list's 8
     index: dict[str, int] = {}
-    for line_num, obj in _ndjson_objects(source, text):
-        if label_column not in obj:
-            raise MissingLabelColumn(
-                f"line {line_num}: object lacks label column {label_column!r}"
-            )
-        label = _stringify(obj[label_column]).strip()
-        if not label:
-            raise EmptyLabel(f"line {line_num}: blank label")
-        if label not in index:
-            _check_encodable(label, line_num)
-            index[label] = len(index)
-        codes.append(index[label])
+    with _text(stream) as text:
+        for line_num, obj in _ndjson_objects(source, text):
+            if label_column not in obj:
+                raise MissingLabelColumn(
+                    f"line {line_num}: object lacks label column {label_column!r}"
+                )
+            label = _stringify(obj[label_column]).strip()
+            if not label:
+                raise EmptyLabel(f"line {line_num}: blank label")
+            if label not in index:
+                _check_encodable(label, line_num)
+                index[label] = len(index)
+            codes.append(index[label])
     if not codes:
         raise EmptyDataset("input has no data rows")
-    return kernels.code_array(codes, len(index)), tuple(index)
+    return _narrowest(codes, len(index)), tuple(index)
 
 
 def _check_encodable(label: str, line_num: int) -> None:
@@ -459,23 +510,22 @@ def parse_records(
     ``format`` is ``csv`` (header row required) or ``ndjson`` (one object
     per line).  Row order is preserved: record k corresponds to data row k.
     A leading byte-order mark is skipped; bytes that are not UTF-8 raise
-    ``InvalidUtf8`` naming the line.  The stream is read once and kept:
-    only the labels are parsed here, each record's other fields when they
-    are asked for.
+    ``InvalidUtf8`` naming the line.  A stream cannot be read twice, so it
+    is read whole, once, and kept; the labels are parsed from those bytes
+    as ``load_dataset`` parses a file, and each record's other fields are
+    parsed when they are asked for.
     """
+    parse = _parser(format)
+    source = stream.read()
+    return parse(_stream(source), source, label_column)
+
+
+def _parser(format: str):
+    """The parser of ``format``, called as ``parse(stream, source,
+    label_column)``; see ``_SourceRows`` for ``source``."""
     if format not in ("csv", "ndjson"):
         raise ValueError(f"unknown format {format!r} (use 'csv' or 'ndjson')")
-    source = stream.read()
-    parse = _parse_csv if format == "csv" else _parse_ndjson
-    return parse(source, _text(source), label_column)
-
-
-def _text(source: bytes | str) -> IO[str]:
-    """The input as the parsers read it: UTF-8 with a leading BOM skipped,
-    line endings kept."""
-    if isinstance(source, str):
-        return io.StringIO(source, newline="")
-    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    return _parse_csv if format == "csv" else _parse_ndjson
 
 
 def load_dataset(
@@ -483,12 +533,25 @@ def load_dataset(
     format: str | None = None,
     label_column: str = DEFAULT_LABEL_COLUMN,
 ) -> TraceDataset:
-    """Parse a dataset file; format inferred from the extension by default."""
+    """Parse a dataset file; format inferred from the extension by default.
+
+    A regular file is read in 1 MiB windows (the native label scanners
+    read it; the Python parser streams it) and none of it is kept: its
+    path, size and modification time are, and the attributes are re-read
+    from it when asked for, raising ``SourceChanged`` if the size or the
+    modification time changed since.  Input that is not a regular file or
+    cannot seek (``/dev/stdin`` on a pipe, a FIFO) is read whole, as
+    ``parse_records`` reads a stream.
+    """
     path = Path(path)
     if format is None:
         format = "ndjson" if path.suffix.lower() in (".ndjson", ".jsonl") else "csv"
     with open(path, "rb") as stream:
-        return parse_records(stream, format=format, label_column=label_column)
+        info = os.fstat(stream.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return parse_records(stream, format=format, label_column=label_column)
+        parse = _parser(format)
+        return parse(stream, (path.absolute(), info.st_size, info.st_mtime_ns), label_column)
 
 
 def synthesize(

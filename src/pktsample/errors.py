@@ -29,6 +29,11 @@ class InvalidUtf8(MalformedRow):
     """Input bytes are not valid UTF-8."""
 
 
+class SourceChanged(PktSampleError):
+    """A file changed after it was loaded, so its records' attributes can no
+    longer be read from it."""
+
+
 class EmptyDataset(PktSampleError):
     """An operation requires at least one record."""
 

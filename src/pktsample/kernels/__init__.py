@@ -36,6 +36,7 @@ derive_seed = _impl.derive_seed
 permutation = _impl.permutation
 sample_without_replacement = _impl.sample_without_replacement
 sample_with_replacement = _impl.sample_with_replacement
+count_codes = _impl.count_codes
 group_by_code = _impl.group_by_code
 shuffled_codes = _impl.shuffled_codes
 csv_rows = _impl.csv_rows

@@ -14,6 +14,7 @@
  *   sample_without_replacement,       uniform draws of 1-based positions
  *   sample_with_replacement
  *   class_count_trials                per-class counts of Monte Carlo trials
+ *   count_codes                       the histogram of a code column
  *   group_by_code                     histogram and strata of a code column
  *   shuffled_codes                    a synthesized dataset's code column
  *   csv_rows                          a head and one CSV row per code, as one str
@@ -469,40 +470,82 @@ static PyObject *code_array(Py_ssize_t classes, Py_ssize_t length, Py_buffer *vi
                       view);
 }
 
-static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwargs)
+/* The (codes, nclasses) arguments of count_codes and group_by_code, checked,
+ * and the number of records of each code: counts[c + 1] for code c, after a
+ * zero counts[0], in memory to PyMem_Free afterwards.  Releases ``codes``
+ * and returns NULL on error. */
+static int64_t *code_counts(PyObject *args, PyObject *kwargs, const char *format,
+                            Py_buffer *codes, int64_t *nclasses)
 {
     static char *kwlist[] = {"codes", "nclasses", NULL};
-    PyObject *codes_arg, *nclasses_arg, *counts = NULL, *positions = NULL, *result = NULL;
-    Py_buffer codes, out = {0};
-    int64_t nclasses, *starts = NULL, *position;
+    PyObject *codes_arg, *nclasses_arg;
+    int64_t *counts = NULL;
     Py_ssize_t records, i;
     uint64_t code;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:group_by_code", kwlist,
-                                     &codes_arg, &nclasses_arg)
-        || as_size(nclasses_arg, "nclasses", &nclasses) < 0
-        || get_column(codes_arg, &codes, "BHILQ",
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &codes_arg,
+                                     &nclasses_arg)
+        || as_size(nclasses_arg, "nclasses", nclasses) < 0
+        || get_column(codes_arg, codes, "BHILQ",
                       "codes must be a one-dimensional buffer of unsigned ints") < 0)
         return NULL;
-    records = codes.len / codes.itemsize;
+    records = codes->len / codes->itemsize;
     for (i = 0; i < records; i++) {
-        code = code_at(codes.buf, codes.itemsize, i);
-        if (code >= (uint64_t)nclasses) {
+        code = code_at(codes->buf, codes->itemsize, i);
+        if (code >= (uint64_t)*nclasses) {
             PyErr_Format(PyExc_ValueError, "codes must lie in [0, %lld), got %llu",
-                         (long long)nclasses, (unsigned long long)code);
-            goto done;
+                         (long long)*nclasses, (unsigned long long)code);
+            goto fail;
         }
     }
-    if ((uint64_t)nclasses >= PY_SSIZE_T_MAX / sizeof(int64_t)
-        || (starts = PyMem_Calloc((size_t)nclasses + 1, sizeof(int64_t))) == NULL) {
+    if ((uint64_t)*nclasses >= PY_SSIZE_T_MAX / sizeof(int64_t)
+        || (counts = PyMem_Calloc((size_t)*nclasses + 1, sizeof(int64_t))) == NULL) {
         PyErr_NoMemory();
-        goto done;
+        goto fail;
     }
     for (i = 0; i < records; i++)
-        starts[code_at(codes.buf, codes.itemsize, i) + 1]++;
-    counts = new_list(nclasses);
-    for (i = 0; counts != NULL && i < nclasses; i++)
-        set_int(&counts, i, starts[i + 1]);
+        counts[code_at(codes->buf, codes->itemsize, i) + 1]++;
+    return counts;
+fail:
+    PyBuffer_Release(codes);
+    return NULL;
+}
+
+/* counts[1..nclasses] as a list. */
+static PyObject *count_list(const int64_t *counts, int64_t nclasses)
+{
+    PyObject *out = new_list(nclasses);
+    int64_t i;
+    for (i = 0; out != NULL && i < nclasses; i++)
+        set_int(&out, i, counts[i + 1]);
+    return out;
+}
+
+static PyObject *count_codes(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    Py_buffer codes;
+    int64_t nclasses, *counts = code_counts(args, kwargs, "OO:count_codes", &codes,
+                                            &nclasses);
+    PyObject *out;
+    if (counts == NULL)
+        return NULL;
+    out = count_list(counts, nclasses);
+    PyBuffer_Release(&codes);
+    PyMem_Free(counts);
+    return out;
+}
+
+static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    PyObject *counts, *positions = NULL, *result = NULL;
+    Py_buffer codes, out = {0};
+    int64_t nclasses, *starts, *position;
+    Py_ssize_t records, i;
+
+    if ((starts = code_counts(args, kwargs, "OO:group_by_code", &codes, &nclasses)) == NULL)
+        return NULL;
+    records = codes.len / codes.itemsize;
+    counts = count_list(starts, nclasses);
     for (i = 0; i < nclasses; i++)
         starts[i + 1] += starts[i];
     if (counts == NULL || (positions = zero_array("q", records, &out)) == NULL)
@@ -510,10 +553,9 @@ static PyObject *group_by_code(PyObject *module, PyObject *args, PyObject *kwarg
     position = out.buf;
     for (i = 0; i < records; i++)
         position[starts[code_at(codes.buf, codes.itemsize, i)]++] = i + 1;
+    PyBuffer_Release(&out);
     result = PyTuple_Pack(2, counts, positions);
 done:
-    if (out.obj != NULL)
-        PyBuffer_Release(&out);
     PyBuffer_Release(&codes);
     PyMem_Free(starts);
     Py_XDECREF(counts);
@@ -744,18 +786,30 @@ done:
 
 /* --- label scanners ------------------------------------------------------- */
 
-/* scan_csv_labels and scan_ndjson_labels read a whole CSV or NDJSON input
- * once, checking its UTF-8 on the way, and return (codes, tokens):
+/* scan_csv_labels and scan_ndjson_labels read a CSV or NDJSON input from a
+ * binary stream, from where it stands to its end, checking its UTF-8 on the
+ * way, and return (codes, tokens):
  *   codes   the class code of each record, an array of unsigned ints
  *           ('B', 'H' or 'I', as the number of codes needs);
  *   tokens  a list of bytes, code k's raw label token, codes in order of
  *           first appearance: the CSV field as the csv module reads it,
  *           or the JSON string literal, quotes included.
  * Lines end at \r\n, \r or \n, as in TextIOWrapper(newline=""), and a
- * UTF-8 BOM is skipped at offset 0.  A scanner returns None for every
+ * UTF-8 BOM is skipped at the start.  A scanner returns None for every
  * input it cannot be sure to read as dataset.py's Python parser does,
- * every error among them; that parser, the reference, then reads it. */
+ * every error among them; that parser, the reference, then reads it.
+ *
+ * The stream is read with readinto, which may return fewer bytes than it
+ * is asked for, into one reused window of WINDOW_SIZE bytes.  A record is
+ * scanned once it lies wholly in the bytes read.  When a record reaches
+ * their end before the end of the stream (a lone \r, a UTF-8 sequence or
+ * JSON escape cut short and fewer than 3 bytes for the BOM check count as
+ * such), the rest of the window moves to its front, more is read after
+ * it and the record is scanned again from its start.  The window doubles
+ * only when one record fills it.  Nothing of the input outlives its
+ * window but the label tokens. */
 
+#define WINDOW_SIZE (1 << 20)
 #define JSON_MAX_DEPTH 64
 /* Past this many digits an int may exceed sys.get_int_max_str_digits()
  * (640 is the smallest limit it may be set to), so int() may raise. */
@@ -768,19 +822,27 @@ typedef struct {
 } Token;
 
 typedef struct {
-    uint32_t *codes;     /* one per record */
-    Py_ssize_t records, capacity;
-    PyObject *tokens;    /* list of bytes */
-    Token *table;        /* code -> token */
+    PyObject *readinto;        /* the stream's bound method */
+    unsigned char *window;     /* the bytes read, up to ``end`` */
+    Py_ssize_t size;           /* of ``window`` */
+    const unsigned char *end;  /* of the bytes read */
+    int eof;                   /* ``end`` is the end of the stream */
+    int cut;                   /* the record being read met ``end`` before eof */
+    char *codes;               /* one per record, as code_array stores them */
+    Py_ssize_t itemsize, records, capacity;
+    PyObject *tokens;          /* list of bytes */
+    Token *table;              /* code -> token */
     Py_ssize_t distinct;
-    uint32_t *slots;     /* open addressing: code + 1, or 0 when empty */
+    uint32_t *slots;           /* open addressing: code + 1, or 0 when empty */
     size_t mask;
-    char *scratch;       /* a quoted CSV label with its "" unescaped */
+    char *scratch;             /* a quoted CSV label with its "" unescaped */
     Py_ssize_t scratch_size;
 } Scan;
 
 static void scan_free(Scan *scan)
 {
+    Py_XDECREF(scan->readinto);
+    PyMem_Free(scan->window);
     PyMem_Free(scan->codes);
     Py_XDECREF(scan->tokens);
     PyMem_Free(scan->table);
@@ -788,22 +850,85 @@ static void scan_free(Scan *scan)
     PyMem_Free(scan->scratch);
 }
 
-static int scan_init(Scan *scan)
+static int scan_init(Scan *scan, PyObject *stream)
 {
     memset(scan, 0, sizeof(*scan));
+    if ((scan->readinto = PyObject_GetAttrString(stream, "readinto")) == NULL
+        || (scan->tokens = PyList_New(0)) == NULL)
+        return -1;
+    scan->size = WINDOW_SIZE;
+    scan->itemsize = 1;
     scan->capacity = 1024;
     scan->mask = 63;
-    scan->codes = PyMem_Malloc(scan->capacity * sizeof(uint32_t));
+    scan->window = PyMem_Malloc(WINDOW_SIZE);
+    scan->end = scan->window;
+    scan->codes = PyMem_Malloc(scan->capacity);
     scan->table = PyMem_Malloc((scan->mask + 1) / 2 * sizeof(Token));
     scan->slots = PyMem_Calloc(scan->mask + 1, sizeof(uint32_t));
-    scan->tokens = PyList_New(0);
-    if (scan->tokens == NULL)
-        return -1;
-    if (scan->codes == NULL || scan->table == NULL || scan->slots == NULL) {
+    if (scan->window == NULL || scan->codes == NULL || scan->table == NULL
+        || scan->slots == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     return 0;
+}
+
+/* Moves the bytes from *p on to the front of the window, doubling the
+ * window when they fill it, and reads more of the stream after them; *p
+ * then points at the front.  Sets eof at the end of the stream.  It reads
+ * until it has at least as many new bytes as kept ones (or the window is
+ * full), so however short the reads, a record is scanned again only a
+ * logarithmic number of times. */
+static int scan_more(Scan *scan, const unsigned char **p)
+{
+    Py_ssize_t kept = scan->end - *p, room, got;
+    unsigned char *window = scan->window;
+    PyObject *view, *result;
+    if (kept == scan->size) {
+        window = scan->size > PY_SSIZE_T_MAX / 2 ? NULL
+                                                 : PyMem_Realloc(window, 2 * scan->size);
+        if (window == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        scan->window = window;
+        scan->size *= 2;
+    } else
+        memmove(window, *p, (size_t)kept);
+    *p = window;
+    scan->end = window + kept;
+    do {
+        room = scan->size - (scan->end - window);
+        view = PyMemoryView_FromMemory((char *)scan->end, room, PyBUF_WRITE);
+        if (view == NULL)
+            return -1;
+        result = PyObject_CallOneArg(scan->readinto, view);
+        Py_DECREF(view);
+        if (result == NULL)
+            return -1;
+        got = PyNumber_AsSsize_t(result, PyExc_OverflowError);
+        Py_DECREF(result);
+        if (got == -1 && PyErr_Occurred())
+            return -1;
+        if (got < 0 || got > room) {
+            PyErr_Format(PyExc_ValueError, "readinto returned %zd for %zd bytes", got,
+                         room);
+            return -1;
+        }
+        scan->end += got;
+        scan->eof = got == 0;
+    } while (!scan->eof && scan->end - window < 2 * kept && got < room);
+    return 0;
+}
+
+/* Whether fewer than n bytes lie from p to the end of the bytes read.
+ * Before the end of the stream that is no answer yet: the record is cut. */
+static int short_of(Scan *scan, const unsigned char *p, Py_ssize_t n)
+{
+    if (scan->end - p >= n)
+        return 0;
+    scan->cut |= !scan->eof;
+    return 1;
 }
 
 static uint64_t token_hash(const char *bytes, Py_ssize_t length)
@@ -846,6 +971,36 @@ static int scan_grow_table(Scan *scan)
     return 0;
 }
 
+/* Stores one more record's code in the narrowest code array for the
+ * codes so far, widening the codes stored before when it grows. */
+static int scan_store(Scan *scan, uint64_t code)
+{
+    Py_ssize_t itemsize = scan->distinct <= 0x100 ? 1 : scan->distinct <= 0x10000 ? 2 : 4,
+               capacity = scan->capacity, i;
+    char *codes = scan->codes;
+    if (itemsize != scan->itemsize || scan->records == capacity) {
+        if (scan->records == capacity)
+            capacity *= 2;
+        codes = capacity > PY_SSIZE_T_MAX / itemsize ? NULL
+                : itemsize == scan->itemsize ? PyMem_Realloc(codes, capacity * itemsize)
+                                             : PyMem_Malloc(capacity * itemsize);
+        if (codes == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (itemsize != scan->itemsize) {
+            for (i = 0; i < scan->records; i++)
+                set_code(codes, itemsize, i, code_at(scan->codes, scan->itemsize, i));
+            PyMem_Free(scan->codes);
+        }
+        scan->codes = codes;
+        scan->itemsize = itemsize;
+        scan->capacity = capacity;
+    }
+    set_code(codes, itemsize, scan->records++, code);
+    return 0;
+}
+
 /* Records one more record by its label token.
  * 1 when done, 0 to hand the input over (codes past uint32), -1 on error. */
 static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length)
@@ -884,33 +1039,17 @@ static int scan_push(Scan *scan, const char *bytes, Py_ssize_t length)
         token->length = length;
         slot = scan->slots[k] = (uint32_t)++scan->distinct;
     }
-    if (scan->records == scan->capacity) {
-        uint32_t *codes;
-        Py_ssize_t capacity = 2 * scan->capacity;
-        codes = capacity > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(uint32_t)
-                    ? NULL
-                    : PyMem_Realloc(scan->codes, capacity * sizeof(uint32_t));
-        if (codes == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        scan->codes = codes;
-        scan->capacity = capacity;
-    }
-    scan->codes[scan->records++] = slot - 1;
-    return 1;
+    return scan_store(scan, slot - 1) < 0 ? -1 : 1;
 }
 
-/* The scanner's (codes, tokens), each code in the fewest bytes. */
+/* The scanner's (codes, tokens). */
 static PyObject *scan_result(Scan *scan)
 {
     Py_buffer view;
-    Py_ssize_t i;
     PyObject *codes = code_array(scan->distinct, scan->records, &view), *result;
     if (codes == NULL)
         return NULL;
-    for (i = 0; i < scan->records; i++)
-        set_code(view.buf, view.itemsize, i, scan->codes[i]);
+    memcpy(view.buf, scan->codes, (size_t)(scan->records * scan->itemsize));
     PyBuffer_Release(&view);
     result = PyTuple_Pack(2, codes, scan->tokens);
     Py_DECREF(codes);
@@ -921,7 +1060,7 @@ static PyObject *scan_result(Scan *scan)
  * where Python's strict decoder fails: a stray or truncated sequence, an
  * overlong form, an encoded surrogate (ED A0..BF) or a code point past
  * U+10FFFF. */
-static Py_ssize_t utf8_sequence(const unsigned char *p, const unsigned char *end)
+static Py_ssize_t utf8_sequence(Scan *scan, const unsigned char *p)
 {
     unsigned char lo = 0x80, hi = 0xBF;
     Py_ssize_t length, k;
@@ -937,7 +1076,7 @@ static Py_ssize_t utf8_sequence(const unsigned char *p, const unsigned char *end
         hi = p[0] == 0xF4 ? 0x8F : 0xBF;
     } else
         return 0;
-    if (end - p < length || p[1] < lo || p[1] > hi)
+    if (short_of(scan, p, length) || p[1] < lo || p[1] > hi)
         return 0;
     for (k = 2; k < length; k++)
         if (p[k] < 0x80 || p[k] > 0xBF)
@@ -959,117 +1098,126 @@ static void fill_plain_tables(void)
     }
 }
 
-static const unsigned char *skip_bom(const unsigned char *p, const unsigned char *end)
-{
-    return end - p >= 3 && memcmp(p, "\xEF\xBB\xBF", 3) == 0 ? p + 3 : p;
-}
-
 /* Past the line break at p: \r\n, \r or \n. */
-static const unsigned char *skip_break(const unsigned char *p, const unsigned char *end)
+static const unsigned char *skip_break(Scan *scan, const unsigned char *p)
 {
-    return p + (*p == '\r' && p + 1 < end && p[1] == '\n' ? 2 : 1);
+    return p + (*p == '\r' && !short_of(scan, p, 2) && p[1] == '\n' ? 2 : 1);
 }
 
-/* The csv module's default dialect: ',' between fields, '"' quotes and
- * "" inside quotes for one quote.  Hands over on a NUL, a '"' in an
- * unquoted field, text after a closing quote, a quote left open, a field
- * of more than field_limit bytes (its characters may still fit), a row
- * of other than ``width`` fields and no data rows.  The header is the
- * first record; a line holding no bytes is no record.
- * 1 when read, 0 to hand over, -1 on error. */
-static int csv_scan(Scan *scan, const unsigned char *p, const unsigned char *end,
-                    Py_ssize_t label_index, Py_ssize_t width, Py_ssize_t field_limit)
+/* What a record reader found at *p; a reader also returns 0 to hand the
+ * input over and -1 on error.  It moves *p past what it read only when it
+ * found a record or a blank line. */
+enum { AT_RECORD = 1, AT_BLANK_LINE, AT_END };
+
+typedef struct {
+    const char *bytes;
+    Py_ssize_t length;
+} Bytes;
+
+/* Reads the record at *p, its label token to *label. */
+typedef int (*RecordReader)(Scan *scan, const unsigned char **p, const void *format,
+                            Bytes *label);
+
+typedef struct {
+    Py_ssize_t label_index, width, field_limit;
+} CsvFormat;
+
+/* A CSV record in the csv module's default dialect: ',' between fields,
+ * '"' quotes and "" inside quotes for one quote.  Hands over on a NUL, a
+ * '"' in an unquoted field, text after a closing quote, a quote left open,
+ * a field of more than field_limit bytes (its characters may still fit)
+ * and a record of other than ``width`` fields.  A line holding no bytes
+ * is a blank line, no record. */
+static int csv_record(Scan *scan, const unsigned char **at, const void *format_arg,
+                      Bytes *label)
 {
-    const unsigned char *field, *label = NULL;
-    Py_ssize_t fields, length, label_length = 0, n;
-    int quoted, escaped, label_escaped = 0, header = 1, pushed;
-    for (p = skip_bom(p, end); p < end; ) {
-        if (*p == '\r' || *p == '\n') {
-            if (header)
-                return 0;
-            p = skip_break(p, end);
-            continue;
-        }
-        for (fields = 0;; fields++) {
-            quoted = p < end && *p == '"';
-            escaped = 0;
-            field = p + quoted;
-            for (p = field; p < end; ) {
-                if (csv_plain[*p])
-                    p++;
-                else if (*p == '"') {
-                    if (!quoted)
-                        return 0;
-                    if (p + 1 < end && p[1] == '"') {
-                        escaped = 1;
-                        p += 2;
-                        continue;
-                    }
-                    break;
-                } else if (*p == ',' || *p == '\r' || *p == '\n') {
-                    if (!quoted)
-                        break;
-                    p++;
-                } else if (*p == 0)
-                    return 0;
-                else if ((n = utf8_sequence(p, end)) > 0)
-                    p += n;
-                else
-                    return 0;
-            }
-            length = p - field;
-            if (quoted && p++ == end)
-                return 0;
-            if (length > field_limit)
-                return 0;
-            if (fields == label_index) {
-                label = field;
-                label_length = length;
-                label_escaped = escaped;
-            }
-            if (p == end || *p != ',')
-                break;
-            p++;
-        }
-        if (p < end) {
-            if (*p != '\r' && *p != '\n')
-                return 0;
-            p = skip_break(p, end);
-        }
-        if (header) {
-            header = 0;
-            continue;
-        }
-        if (fields + 1 != width)
-            return 0;
-        if (label_escaped) {
-            Py_ssize_t i, j;
-            if (label_length > scan->scratch_size) {
-                char *scratch = PyMem_Realloc(scan->scratch, label_length);
-                if (scratch == NULL) {
-                    PyErr_NoMemory();
-                    return -1;
-                }
-                scan->scratch = scratch;
-                scan->scratch_size = label_length;
-            }
-            for (i = j = 0; i < label_length; i++, j++) {
-                scan->scratch[j] = (char)label[i];
-                if (label[i] == '"')
-                    i++; /* the second quote of "" */
-            }
-            label = (const unsigned char *)scan->scratch;
-            label_length = j;
-        }
-        if ((pushed = scan_push(scan, (const char *)label, label_length)) <= 0)
-            return pushed;
+    const CsvFormat *format = format_arg;
+    const unsigned char *p = *at, *field, *text = NULL;
+    Py_ssize_t fields, length, text_length = 0, n, i, j;
+    int quoted, escaped, text_escaped = 0;
+    if (short_of(scan, p, 1))
+        return AT_END;
+    if (*p == '\r' || *p == '\n') {
+        *at = skip_break(scan, p);
+        return AT_BLANK_LINE;
     }
-    return scan->records > 0;
+    for (fields = 0;; fields++) {
+        quoted = !short_of(scan, p, 1) && *p == '"';
+        escaped = 0;
+        field = p + quoted;
+        for (p = field; !short_of(scan, p, 1); ) {
+            if (csv_plain[*p])
+                p++;
+            else if (*p == '"') {
+                if (!quoted)
+                    return 0;
+                if (!short_of(scan, p, 2) && p[1] == '"') {
+                    escaped = 1;
+                    p += 2;
+                    continue;
+                }
+                break;
+            } else if (*p == ',' || *p == '\r' || *p == '\n') {
+                if (!quoted)
+                    break;
+                p++;
+            } else if (*p == 0)
+                return 0;
+            else if ((n = utf8_sequence(scan, p)) > 0)
+                p += n;
+            else
+                return 0;
+        }
+        length = p - field;
+        if (length > format->field_limit) {
+            scan->cut = 0; /* more bytes only lengthen the field */
+            return 0;
+        }
+        if (quoted && short_of(scan, p++, 1))
+            return 0;
+        if (fields == format->label_index) {
+            text = field;
+            text_length = length;
+            text_escaped = escaped;
+        }
+        if (short_of(scan, p, 1) || *p != ',')
+            break;
+        p++;
+    }
+    if (!short_of(scan, p, 1)) {
+        if (*p != '\r' && *p != '\n')
+            return 0;
+        p = skip_break(scan, p);
+    }
+    if (fields + 1 != format->width)
+        return 0;
+    if (text_escaped) {
+        if (text_length > scan->scratch_size) {
+            char *scratch = PyMem_Realloc(scan->scratch, text_length);
+            if (scratch == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            scan->scratch = scratch;
+            scan->scratch_size = text_length;
+        }
+        for (i = j = 0; i < text_length; i++, j++) {
+            scan->scratch[j] = (char)text[i];
+            if (text[i] == '"')
+                i++; /* the second quote of "" */
+        }
+        text = (const unsigned char *)scan->scratch;
+        text_length = j;
+    }
+    label->bytes = (const char *)text;
+    label->length = text_length;
+    *at = p;
+    return AT_RECORD;
 }
 
-static void json_space(const unsigned char **p, const unsigned char *end)
+static void json_space(Scan *scan, const unsigned char **p)
 {
-    while (*p < end && (**p == ' ' || **p == '\t'))
+    while (!short_of(scan, *p, 1) && (**p == ' ' || **p == '\t'))
         (*p)++;
 }
 
@@ -1080,103 +1228,108 @@ static int hex_digit(unsigned char c)
 
 /* The string whose opening quote is at *p, as json.loads reads it in
  * strict mode; *escaped says whether it holds a backslash. */
-static int json_string(const unsigned char **p, const unsigned char *end, int *escaped)
+static int json_string(Scan *scan, const unsigned char **p, int *escaped)
 {
     const unsigned char *q = *p + 1;
     Py_ssize_t n;
     *escaped = 0;
-    while (q < end && *q != '"') {
+    while (!short_of(scan, q, 1) && *q != '"') {
         if (json_plain[*q])
             q++;
         else if (*q == '\\') {
             *escaped = 1;
-            if (end - q >= 6 && q[1] == 'u' && hex_digit(q[2]) && hex_digit(q[3])
+            if (!short_of(scan, q, 6) && q[1] == 'u' && hex_digit(q[2]) && hex_digit(q[3])
                 && hex_digit(q[4]) && hex_digit(q[5]))
                 q += 6;
-            else if (end - q >= 2 && q[1] != 0 && strchr("\"\\/bfnrt", q[1]) != NULL)
+            else if (!short_of(scan, q, 2) && q[1] != 0 && strchr("\"\\/bfnrt", q[1]) != NULL)
                 q += 2;
             else
                 return 0;
         } else if (*q < 0x20)
             return 0;
-        else if ((n = utf8_sequence(q, end)) > 0)
+        else if ((n = utf8_sequence(scan, q)) > 0)
             q += n;
         else
             return 0;
     }
-    if (q == end)
+    if (short_of(scan, q, 1))
         return 0;
     *p = q + 1;
     return 1;
 }
 
-static int json_digits(const unsigned char **p, const unsigned char *end)
+static int json_digits(Scan *scan, const unsigned char **p)
 {
     const unsigned char *first = *p;
-    while (*p < end && **p >= '0' && **p <= '9')
+    while (!short_of(scan, *p, 1) && **p >= '0' && **p <= '9')
         (*p)++;
     return *p > first;
 }
 
+/* The next byte is ``c``. */
+static int json_next(Scan *scan, const unsigned char *p, unsigned char c)
+{
+    return !short_of(scan, p, 1) && *p == c;
+}
+
 /* A number in the JSON grammar; NaN, Infinity and -Infinity hand over. */
-static int json_number(const unsigned char **p, const unsigned char *end)
+static int json_number(Scan *scan, const unsigned char **p)
 {
     const unsigned char *digits;
-    if (*p < end && **p == '-')
+    if (json_next(scan, *p, '-'))
         (*p)++;
     digits = *p;
-    if (*p < end && **p == '0')
+    if (json_next(scan, *p, '0'))
         (*p)++;
-    else if (!json_digits(p, end) || *p - digits > JSON_MAX_INT_DIGITS)
+    else if (!json_digits(scan, p) || *p - digits > JSON_MAX_INT_DIGITS)
         return 0;
-    if (*p < end && **p == '.') {
+    if (json_next(scan, *p, '.')) {
         (*p)++;
-        if (!json_digits(p, end))
+        if (!json_digits(scan, p))
             return 0;
     }
-    if (*p < end && (**p == 'e' || **p == 'E')) {
+    if (!short_of(scan, *p, 1) && (**p == 'e' || **p == 'E')) {
         (*p)++;
-        if (*p < end && (**p == '+' || **p == '-'))
+        if (!short_of(scan, *p, 1) && (**p == '+' || **p == '-'))
             (*p)++;
-        if (!json_digits(p, end))
+        if (!json_digits(scan, p))
             return 0;
     }
     return 1;
 }
 
-static int json_literal(const unsigned char **p, const unsigned char *end,
-                        const char *word)
+static int json_literal(Scan *scan, const unsigned char **p, const char *word)
 {
     size_t length = strlen(word);
-    if ((size_t)(end - *p) < length || memcmp(*p, word, length) != 0)
+    if (short_of(scan, *p, (Py_ssize_t)length) || memcmp(*p, word, length) != 0)
         return 0;
     *p += length;
     return 1;
 }
 
-static int json_container(const unsigned char **p, const unsigned char *end, int depth,
+static int json_container(Scan *scan, const unsigned char **p, int depth,
                           const char *key, Py_ssize_t key_length,
                           const unsigned char **label, const unsigned char **label_end);
 
-static int json_value(const unsigned char **p, const unsigned char *end, int depth)
+static int json_value(Scan *scan, const unsigned char **p, int depth)
 {
     int escaped;
-    if (*p == end)
+    if (short_of(scan, *p, 1))
         return 0;
     switch (**p) {
     case '{':
     case '[':
-        return json_container(p, end, depth + 1, NULL, 0, NULL, NULL);
+        return json_container(scan, p, depth + 1, NULL, 0, NULL, NULL);
     case '"':
-        return json_string(p, end, &escaped);
+        return json_string(scan, p, &escaped);
     case 't':
-        return json_literal(p, end, "true");
+        return json_literal(scan, p, "true");
     case 'f':
-        return json_literal(p, end, "false");
+        return json_literal(scan, p, "false");
     case 'n':
-        return json_literal(p, end, "null");
+        return json_literal(scan, p, "null");
     default:
-        return json_number(p, end);
+        return json_number(scan, p);
     }
 }
 
@@ -1185,7 +1338,7 @@ static int json_value(const unsigned char **p, const unsigned char *end, int dep
  * the last member so named, as json.loads keeps the last duplicate key.
  * Hands over on a member of that name that is not a string, and on a
  * member name holding an escape, which may decode to that name. */
-static int json_container(const unsigned char **p, const unsigned char *end, int depth,
+static int json_container(Scan *scan, const unsigned char **p, int depth,
                           const char *key, Py_ssize_t key_length,
                           const unsigned char **label, const unsigned char **label_end)
 {
@@ -1195,8 +1348,8 @@ static int json_container(const unsigned char **p, const unsigned char *end, int
     if (depth > JSON_MAX_DEPTH)
         return 0;
     (*p)++;
-    json_space(p, end);
-    if (*p < end && **p == close) {
+    json_space(scan, p);
+    if (json_next(scan, *p, close)) {
         (*p)++;
         return 1;
     }
@@ -1204,63 +1357,110 @@ static int json_container(const unsigned char **p, const unsigned char *end, int
         labelled = 0;
         if (close == '}') {
             name = *p;
-            if (*p == end || **p != '"' || !json_string(p, end, &escaped))
+            if (!json_next(scan, *p, '"') || !json_string(scan, p, &escaped))
                 return 0;
             if (key != NULL && escaped)
                 return 0;
             labelled = key != NULL && *p - name - 2 == key_length
                        && memcmp(name + 1, key, (size_t)key_length) == 0;
-            json_space(p, end);
-            if (*p == end || **p != ':')
+            json_space(scan, p);
+            if (!json_next(scan, *p, ':'))
                 return 0;
             (*p)++;
-            json_space(p, end);
+            json_space(scan, p);
         }
         if (labelled) {
             *label = *p;
-            if (*p == end || **p != '"' || !json_string(p, end, &escaped))
+            if (!json_next(scan, *p, '"') || !json_string(scan, p, &escaped))
                 return 0;
             *label_end = *p;
-        } else if (!json_value(p, end, depth))
+        } else if (!json_value(scan, p, depth))
             return 0;
-        json_space(p, end);
-        if (*p == end || (**p != ',' && **p != close))
+        json_space(scan, p);
+        if (short_of(scan, *p, 1) || (**p != ',' && **p != close))
             return 0;
         if (*(*p)++ == close)
             return 1;
-        json_space(p, end);
+        json_space(scan, p);
     }
 }
 
-/* One JSON object per line; a line of spaces and tabs only is skipped.
- * Hands over on any other line, on a line whose object lacks ``key``,
- * on nesting past JSON_MAX_DEPTH, an int of more than
- * JSON_MAX_INT_DIGITS digits and on no records.
- * 1 when read, 0 to hand over, -1 on error. */
-static int ndjson_scan(Scan *scan, const unsigned char *p, const unsigned char *end,
-                       const char *key, Py_ssize_t key_length)
+/* An NDJSON line: one JSON object, or spaces and tabs only, a blank line.
+ * Hands over on any other line, on an object that lacks the key, on
+ * nesting past JSON_MAX_DEPTH and on an int of more than
+ * JSON_MAX_INT_DIGITS digits. */
+static int ndjson_record(Scan *scan, const unsigned char **at, const void *key_arg,
+                         Bytes *label)
 {
-    const unsigned char *label, *label_end;
-    int pushed;
-    for (p = skip_bom(p, end); p < end; ) {
-        json_space(&p, end);
-        if (p < end && *p == '{') {
-            label = NULL;
-            if (!json_container(&p, end, 1, key, key_length, &label, &label_end)
-                || label == NULL)
-                return 0;
-            pushed = scan_push(scan, (const char *)label, label_end - label);
-            if (pushed <= 0)
-                return pushed;
-            json_space(&p, end);
-        }
-        if (p < end) {
-            if (*p != '\r' && *p != '\n')
-                return 0;
-            p = skip_break(p, end);
-        }
+    const Bytes *key = key_arg;
+    const unsigned char *p = *at, *text = NULL, *text_end = NULL;
+    int found = AT_BLANK_LINE;
+    if (short_of(scan, p, 1))
+        return AT_END;
+    json_space(scan, &p);
+    if (json_next(scan, p, '{')) {
+        if (!json_container(scan, &p, 1, key->bytes, key->length, &text, &text_end)
+            || text == NULL)
+            return 0;
+        label->bytes = (const char *)text;
+        label->length = text_end - text;
+        found = AT_RECORD;
+        json_space(scan, &p);
     }
-    return scan->records > 0;
+    if (!short_of(scan, p, 1)) {
+        if (*p != '\r' && *p != '\n')
+            return 0;
+        p = skip_break(scan, p);
+    }
+    *at = p;
+    return found;
+}
+
+/* ``read``'s outcome at *p, read again from the record's start after
+ * reading more of the stream while the bytes read so far cut the record. */
+static int scan_record(Scan *scan, const unsigned char **p, RecordReader read,
+                       const void *format, Bytes *label)
+{
+    const unsigned char *start;
+    int outcome;
+    for (;;) {
+        start = *p;
+        scan->cut = 0;
+        outcome = read(scan, p, format, label);
+        if (outcome < 0 || !scan->cut)
+            return outcome;
+        *p = start;
+        if (scan_more(scan, p) < 0)
+            return -1;
+    }
+}
+
+/* Reads the stream to its end with ``read`` and records each record's
+ * label; with ``header`` the first record is a header, which is not
+ * recorded and which no blank line may precede.
+ * 1 when read, 0 to hand over (also on no records), -1 on error. */
+static int scan_stream(Scan *scan, RecordReader read, const void *format, int header)
+{
+    const unsigned char *p = scan->window;
+    Bytes label;
+    int outcome;
+    while (scan->end - p < 3 && !scan->eof)
+        if (scan_more(scan, &p) < 0)
+            return -1;
+    if (scan->end - p >= 3 && memcmp(p, "\xEF\xBB\xBF", 3) == 0)
+        p += 3;
+    while ((outcome = scan_record(scan, &p, read, format, &label)) > 0) {
+        if (outcome == AT_END)
+            return scan->records > 0;
+        if (header) {
+            if (outcome == AT_BLANK_LINE)
+                return 0;
+            header = 0;
+        } else if (outcome == AT_RECORD
+                   && (outcome = scan_push(scan, label.bytes, label.length)) <= 0)
+            return outcome;
+    }
+    return outcome;
 }
 
 /* Runs a scanner's outcome into its result: None when it handed over. */
@@ -1277,57 +1477,43 @@ static PyObject *scan_finish(Scan *scan, int outcome)
 
 static PyObject *scan_csv_labels(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"buf", "label_index", "width", "field_limit", NULL};
-    Py_buffer buf;
-    Py_ssize_t label_index, width, field_limit;
+    static char *kwlist[] = {"stream", "label_index", "width", "field_limit", NULL};
+    PyObject *stream;
+    CsvFormat format;
     Scan scan;
-    int outcome;
-    PyObject *result;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y*nnn:scan_csv_labels", kwlist,
-                                     &buf, &label_index, &width, &field_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Onnn:scan_csv_labels", kwlist, &stream,
+                                     &format.label_index, &format.width,
+                                     &format.field_limit))
         return NULL;
-    if (label_index < 0 || label_index >= width) {
-        PyBuffer_Release(&buf);
+    if (format.label_index < 0 || format.label_index >= format.width) {
         PyErr_SetString(PyExc_ValueError, "label_index must lie in [0, width)");
         return NULL;
     }
-    outcome = scan_init(&scan);
-    if (outcome == 0)
-        outcome = csv_scan(&scan, buf.buf, (const unsigned char *)buf.buf + buf.len,
-                           label_index, width, field_limit);
-    result = scan_finish(&scan, outcome);
-    PyBuffer_Release(&buf);
-    return result;
+    return scan_finish(&scan, scan_init(&scan, stream) < 0
+                                  ? -1
+                                  : scan_stream(&scan, csv_record, &format, 1));
 }
 
 static PyObject *scan_ndjson_labels(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"buf", "key", NULL};
-    Py_buffer buf;
-    PyObject *key_arg, *result;
-    const char *key;
-    Py_ssize_t key_length;
+    static char *kwlist[] = {"stream", "key", NULL};
+    PyObject *stream, *key_arg;
+    Bytes key;
     Scan scan;
-    int outcome;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "y*U:scan_ndjson_labels", kwlist,
-                                     &buf, &key_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OU:scan_ndjson_labels", kwlist,
+                                     &stream, &key_arg))
         return NULL;
-    key = PyUnicode_AsUTF8AndSize(key_arg, &key_length);
-    if (key == NULL) {
+    key.bytes = PyUnicode_AsUTF8AndSize(key_arg, &key.length);
+    if (key.bytes == NULL) {
         /* a lone surrogate, which only an escaped member name can match */
-        PyBuffer_Release(&buf);
         if (!PyErr_ExceptionMatches(PyExc_UnicodeEncodeError))
             return NULL;
         PyErr_Clear();
         Py_RETURN_NONE;
     }
-    outcome = scan_init(&scan);
-    if (outcome == 0)
-        outcome = ndjson_scan(&scan, buf.buf, (const unsigned char *)buf.buf + buf.len,
-                              key, key_length);
-    result = scan_finish(&scan, outcome);
-    PyBuffer_Release(&buf);
-    return result;
+    return scan_finish(&scan, scan_init(&scan, stream) < 0
+                                  ? -1
+                                  : scan_stream(&scan, ndjson_record, &key, 0));
 }
 
 #define KERNEL(name, doc) \
@@ -1344,6 +1530,7 @@ static PyMethodDef module_methods[] = {
     KERNEL(class_count_trials,
            "Per-class sampled counts of trials ``first .. first + trials - 1`` "
            "of uniform sampling."),
+    KERNEL(count_codes, "The number of records of each class code."),
     KERNEL(group_by_code,
            "Stable counting sort of class codes: per-code counts and the 1-based "
            "positions grouped by code."),
@@ -1354,9 +1541,9 @@ static PyMethodDef module_methods[] = {
            "``head``, then one CSV row per code: the decimal position, then "
            "``cells[code]``."),
     KERNEL(scan_csv_labels,
-           "Class codes and distinct label tokens of a CSV input, or None."),
+           "Class codes and distinct label tokens of a CSV stream, or None."),
     KERNEL(scan_ndjson_labels,
-           "Class codes and distinct label tokens of an NDJSON input, or None."),
+           "Class codes and distinct label tokens of an NDJSON stream, or None."),
     {NULL, NULL, 0, NULL},
 };
 

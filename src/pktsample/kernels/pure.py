@@ -36,6 +36,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, islice
 from operator import add, itemgetter
 
@@ -272,25 +273,35 @@ def class_count_trials(
 _CODE_FORMATS = ("B", "H", "I", "L", "Q")
 
 
-def group_by_code(codes, nclasses: int) -> tuple[list[int], array]:
-    """Stable counting sort of class codes.
+def count_codes(codes, nclasses: int) -> list[int]:
+    """The number of records of each code.
 
     ``codes`` is a one-dimensional buffer of unsigned ints (an ``array``
-    of typecode B, H, I, L or Q) whose every code lies in
-    [0, nclasses).  Returns the number of records of each code and the
-    1-based positions of the records grouped by code, ascending within a
-    code, as ``array('q')``.
+    of typecode B, H, I, L or Q) whose every code lies in [0, nclasses).
     """
     _check_sizes(nclasses=nclasses)
     view = memoryview(codes)
     if view.ndim != 1 or view.format not in _CODE_FORMATS:
         raise TypeError("codes must be a one-dimensional buffer of unsigned ints")
-    if view and max(view) >= nclasses:
+    counted = Counter(view)
+    if counted and max(counted) >= nclasses:
         code = next(code for code in view if code >= nclasses)
         raise ValueError(f"codes must lie in [0, {nclasses}), got {code}")
     counts = [0] * nclasses
-    for code in view:
-        counts[code] += 1
+    for code, count in counted.items():
+        counts[code] = count
+    return counts
+
+
+def group_by_code(codes, nclasses: int) -> tuple[list[int], array]:
+    """Stable counting sort of class codes.
+
+    ``codes`` is a buffer as ``count_codes`` takes it.  Returns the number
+    of records of each code and the 1-based positions of the records
+    grouped by code, ascending within a code, as ``array('q')``.
+    """
+    counts = count_codes(codes, nclasses)
+    view = memoryview(codes)
     starts = [0, *accumulate(counts)]
     positions = array("q", bytes(8 * len(view)))
     for position, code in enumerate(view, start=1):

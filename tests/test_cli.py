@@ -212,6 +212,19 @@ def test_analyze_json_validates(pu_csv, capsys):
     assert envelope["source"]["population"] == 30000
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="no /dev/stdin")
+def test_analyze_reads_dev_stdin_from_a_pipe(pu_csv, capsys):
+    """Input that cannot seek is read whole: ``--input /dev/stdin`` on a
+    pipe gives the report the file gives."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pktsample.cli", "analyze", "--input", "/dev/stdin"],
+        input=pu_csv.read_bytes(), capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(["analyze", "--input", str(pu_csv)]) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+
 def test_analyze_missing_file_exits_1(capsys):
     assert main(["analyze", "--input", "/nonexistent/x.csv"]) == 1
 

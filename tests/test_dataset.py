@@ -5,7 +5,10 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from pktsample.errors import (
     MalformedRow,
     MissingLabelColumn,
     PktSampleError,
+    SourceChanged,
     ZeroTotal,
 )
 from pktsample.report import dataset_to_csv
@@ -224,6 +228,48 @@ def test_load_dataset_infers_format(tmp_path):
     nd_path = tmp_path / "trace.ndjson"
     nd_path.write_text('{"Protocol": "ARP"}\n', encoding="utf-8")
     assert load_dataset(nd_path).records[0].label == "ARP"
+
+
+def test_load_holds_codes_not_the_file(tmp_path):
+    """A load and its histogram hold the class codes and one window, not
+    the file: under tracemalloc a 10 MB, 400k-record CSV peaks below
+    4 MB."""
+    path = tmp_path / "big.csv"
+    labels = ("TCP", "UDP", "ARP", "DNS", "ICMP")
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.write("No.,Protocol,Info\n")
+        out.writelines(f"{i},{labels[i % 5]},{'x' * 14}\n" for i in range(400_000))
+    assert path.stat().st_size > 10**7
+    tracemalloc.start()
+    try:
+        counts = histogram(load_dataset(path)).counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (80_000,) * 5
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("change", ["append a row", "touch"])
+def test_attributes_of_a_changed_file_raise_source_changed(tmp_path, change):
+    """Attributes are re-read from the file; once its size or modification
+    time differs from load time, asking for them raises SourceChanged,
+    while the labels, read at load time, stay."""
+    path = tmp_path / "trace.csv"
+    path.write_text("No.,Protocol\n1,TCP\n", encoding="utf-8")
+    dataset = load_dataset(path)
+    assert dataset.attribute_columns() == (("No.",), [["1"]])
+    if change == "touch":
+        info = path.stat()
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+    else:
+        with open(path, "a", encoding="utf-8") as out:
+            out.write("2,UDP\n")
+    with pytest.raises(SourceChanged, match=r"changed after it was loaded$"):
+        dataset.records
+    with pytest.raises(SourceChanged):
+        dataset.attribute_columns()
+    assert dataset.labels == ("TCP",)
 
 
 def test_trace_dataset_validates_positions():
@@ -524,13 +570,43 @@ except ImportError:  # the extension was not built
 needs_native = pytest.mark.skipif(_native is None, reason="native kernels not built")
 
 
-def _parse_with(scanners, data: bytes, format: str, label_column: str):
+class Trickle(io.RawIOBase):
+    """A seekable byte stream whose ``readinto`` returns 1 to 7 bytes a
+    call, so that records, line breaks and UTF-8 sequences straddle the
+    windows a scanner reads.  ``read1``, which the text layer of the
+    Python parser reads, returns whole chunks, as from a file: which of
+    two errors in one chunk that parser reports depends on its chunks."""
+
+    def __init__(self, data: bytes, phase: int = 0):
+        self._data = io.BytesIO(data)
+        self._sizes = itertools.islice(itertools.cycle(range(1, 8)), phase, None)
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        return self._data.seek(offset, whence)
+
+    def readinto(self, buffer):
+        return self._data.readinto(memoryview(buffer)[: next(self._sizes)])
+
+    def read1(self, size=-1):
+        return self._data.read1(size)
+
+
+def _parse_with(scanners, data: bytes, format: str, label_column: str, trickle=False):
     """``parse_records``' labels and records, or its error's type and
     message, with the native label scanners, or with the Python parser
-    alone when ``scanners`` is None."""
+    alone when ``scanners`` is None.  With ``trickle`` the parsers read
+    the input bytes through a ``Trickle``."""
     with pytest.MonkeyPatch.context() as patch:
         for name in ("scan_csv_labels", "scan_ndjson_labels"):
             patch.setattr(kernels, name, scanners and getattr(scanners, name))
+        if trickle:
+            patch.setattr(dataset_module, "_stream", _trickled)
         try:
             dataset = parse_records(io.BytesIO(data), format=format, label_column=label_column)
         except PktSampleError as exc:
@@ -565,7 +641,94 @@ def test_scanners_match_python_parser(source):
     if format == "csv" and label_column == "proto":
         header = next(csv.reader(io.StringIO(data.decode("utf-8-sig"), newline="")))
         limit = csv.field_size_limit()
-        assert _native.scan_csv_labels(data, header.index("proto"), len(header), limit)
+        assert _native.scan_csv_labels(
+            io.BytesIO(data), header.index("proto"), len(header), limit
+        )
+
+
+_whole_stream = dataset_module._stream
+
+
+def _trickled(source):
+    return Trickle(source) if isinstance(source, bytes) else _whole_stream(source)
+
+
+def _scan_stream(stream, data: bytes, format: str, label_column: str):
+    """The native scanner's raw result for ``data`` read from ``stream``, or
+    ``"no header"`` where the Python parser finds no CSV header holding
+    the label column."""
+    if format == "ndjson":
+        return _native.scan_ndjson_labels(stream, label_column)
+    try:
+        header = next(csv.reader(io.StringIO(data.decode("utf-8-sig"), newline="")))
+        label_index = header.index(label_column)
+    except (StopIteration, ValueError, csv.Error):
+        return "no header"
+    return _native.scan_csv_labels(stream, label_index, len(header), csv.field_size_limit())
+
+
+@needs_native
+@settings(max_examples=300, deadline=None)
+@given(source=scanner_inputs())
+def test_scanners_match_whole_read_over_trickle(source):
+    """The inputs of ``test_scanners_match_python_parser``, read 1 to 7
+    bytes at a time from each of seven phases: the scanners return what
+    they return for one whole read, and ``parse_records`` gives the same
+    labels and records, or the same error."""
+    data, format, label_column = source
+    whole = _scan_stream(io.BytesIO(data), data, format, label_column)
+    for phase in range(7):
+        assert _scan_stream(Trickle(data, phase), data, format, label_column) == whole
+    assert _parse_with(_native, data, format, label_column, trickle=True) == _parse_with(
+        _native, data, format, label_column
+    )
+
+
+def _straddling(filler, row: bytes, at: int, offset: int) -> bytes:
+    """Rows of ``filler(length)`` bytes, then ``row``, such that byte
+    ``at`` of ``row`` lies at ``offset``."""
+    length = 100
+    count, rest = divmod(offset - at, length)
+    return filler(length) * (count - 1) + filler(length + rest) + row
+
+
+def _csv_filler(length: int) -> bytes:
+    return b"0,TCP," + b"x" * (length - 7) + b"\n"
+
+
+def _ndjson_filler(length: int) -> bytes:
+    return b'{"Protocol":"TCP","x":"' + b"x" * (length - 26) + b'"}\n'
+
+
+@pytest.mark.parametrize("delta", range(-3, 4))
+@pytest.mark.parametrize(
+    "format,row,marker,label",
+    [
+        pytest.param("csv", b'1,"A\r\nB",i\n', b"\r", "A\r\nB", id="quoted CRLF label"),
+        pytest.param("csv", b"1,\xf0\x9f\x98\x80,i\n", b"\xf0", "\U0001f600",
+                     id="4-byte UTF-8 label"),
+        pytest.param("csv", b"1,UDP,i\r\n", b"\r", "UDP", id="CRLF line end"),
+        pytest.param("ndjson", b'{"Protocol":"A\\"B"}\n', b"\\", 'A"B',
+                     id="JSON escaped quote"),
+    ],
+)
+def test_load_dataset_across_the_window_boundary(tmp_path, format, row, marker, label, delta):
+    """A file whose marked byte lies 0 to 3 bytes either side of the end
+    of the first 1 MiB window loads as the Python parser reads it, and
+    the native scanner reads it without handing it over."""
+    filler = _csv_filler if format == "csv" else _ndjson_filler
+    head = b"No.,Protocol,Info\n" if format == "csv" else b""
+    data = head + _straddling(filler, row, row.index(marker), 2**20 + delta - len(head))
+    data += filler(100)
+    assert data.index(row) + row.index(marker) == 2**20 + delta
+    path = tmp_path / f"trace.{format}"
+    path.write_bytes(data)
+    dataset = load_dataset(path)
+    assert (dataset.labels, dataset.records) == _parse_with(None, data, format, "Protocol")
+    assert dataset.labels[-2] == label
+    if _native is not None:
+        with open(path, "rb") as stream:
+            assert _scan_stream(stream, data, format, "Protocol") is not None
 
 
 def _scan(data: bytes, format: str):
@@ -574,11 +737,12 @@ def _scan(data: bytes, format: str):
     labels, or None where the Python parser reads it."""
     if format == "csv":
         scanned = dataset_module._scanned(
-            _native.scan_csv_labels, data, bytes.decode, 1, 2, csv.field_size_limit()
+            _native.scan_csv_labels, io.BytesIO(data), data, bytes.decode,
+            1, 2, csv.field_size_limit(),
         )
     else:
         scanned = dataset_module._scanned(
-            _native.scan_ndjson_labels, data, json.loads, "Protocol"
+            _native.scan_ndjson_labels, io.BytesIO(data), data, json.loads, "Protocol"
         )
     if scanned is None:
         return None
@@ -685,7 +849,8 @@ def test_scanned_codes_merge_equal_labels(distinct):
 
 def _scan_codes(data: bytes):
     return dataset_module._scanned(
-        _native.scan_csv_labels, data, bytes.decode, 1, 2, csv.field_size_limit()
+        _native.scan_csv_labels, io.BytesIO(data), data, bytes.decode,
+        1, 2, csv.field_size_limit(),
     )
 
 
@@ -694,9 +859,11 @@ def test_scanner_result_shape():
     """Codes in first-appearance order and each distinct raw token as
     ``bytes``."""
     codes, tokens = _native.scan_csv_labels(
-        HEADER + b'1,B\n\n2,"A"\r\n3,B\r4,"""A"\n', 1, 2, 100
+        io.BytesIO(HEADER + b'1,B\n\n2,"A"\r\n3,B\r4,"""A"\n'), 1, 2, 100
     )
     assert (codes.typecode, list(codes)) == ("B", [0, 1, 0, 2])
     assert tokens == [b"B", b"A", b'"A']
-    codes, tokens = _native.scan_ndjson_labels(b'{"p": "\\u0041"}\n{"p": "A"}', "p")
+    codes, tokens = _native.scan_ndjson_labels(
+        io.BytesIO(b'{"p": "\\u0041"}\n{"p": "A"}'), "p"
+    )
     assert list(codes) == [0, 1] and tokens == [b'"\\u0041"', b'"A"']

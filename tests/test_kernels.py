@@ -73,10 +73,10 @@ def test_stream_identities(seed):
 
 @pytest.mark.skipif(_native is None, reason="native kernels not built")
 def test_native_module_surface():
-    """The native module's public names are exactly the ten kernels its
+    """The native module's public names are exactly the eleven kernels its
     header lists: no Rng type, nothing only the tests use."""
     assert sorted(name for name in dir(_native) if not name.startswith("_")) == [
-        "class_count_trials", "csv_rows", "derive_seed", "group_by_code",
+        "class_count_trials", "count_codes", "csv_rows", "derive_seed", "group_by_code",
         "permutation", "sample_with_replacement", "sample_without_replacement",
         "scan_csv_labels", "scan_ndjson_labels", "shuffled_codes",
     ]
@@ -351,6 +351,21 @@ def test_group_by_code_contract(impl):
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
+def test_count_codes_contract(impl):
+    """The counts half of ``group_by_code``, with its argument checks and
+    messages."""
+    codes = array("B", [2, 0, 2, 1, 0, 2])
+    assert impl.count_codes(codes, 4) == [2, 1, 3, 0] == impl.group_by_code(codes, 4)[0]
+    assert impl.count_codes(array("Q"), 2) == [0, 0]
+    with pytest.raises(ValueError, match=r"codes must lie in \[0, 3\), got 7"):
+        impl.count_codes(array("H", [1, 7, 9]), 3)
+    with pytest.raises(ValueError, match=r"nclasses must lie in \[0, 2\*\*63\)"):
+        impl.count_codes(array("B", [0]), 2**63)
+    with pytest.raises(TypeError, match="unsigned"):
+        impl.count_codes(array("b", [0]), 1)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
 def test_shuffled_codes_contract(impl):
     """The grouped codes gathered through ``permutation``, in the narrowest
     unsigned array for the number of classes; zero counts allowed."""
@@ -537,9 +552,10 @@ class TestBackendEquivalenceProperty:
         if typecode != "B" and codes:
             codes[len(codes) // 2] = wide % (2**16 if typecode == "H" else 2**32)
         codes = array(typecode, codes)
-        assert _outcome(pure.group_by_code, codes, nclasses) == _outcome(
-            _native.group_by_code, codes, nclasses
-        )
+        for name in ("count_codes", "group_by_code"):
+            assert _raised(getattr(pure, name), codes, nclasses) == _raised(
+                getattr(_native, name), codes, nclasses
+            )
 
     @settings(max_examples=150, deadline=None)
     @given(
